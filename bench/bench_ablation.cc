@@ -28,7 +28,6 @@
 #include "fv/keygen.h"
 #include "fv/params.h"
 #include "hw/coprocessor.h"
-#include "hw/program_builder.h"
 #include "hw/resource_model.h"
 
 using namespace heat;
@@ -41,11 +40,7 @@ multUs(const HwConfig &config)
 {
     auto params = fv::FvParams::paper();
     Coprocessor cp(params, config);
-    ntt::RnsPoly zero(params->qBase(), params->degree());
-    std::array<PolyId, 2> a{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    std::array<PolyId, 2> b{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    ProgramBuilder builder(cp);
-    Program p = builder.buildMult(a, b);
+    const Program p = bench::compiledMultProgram(params, config);
     double us = 0;
     for (const auto &i : p.instrs) {
         us += config.cyclesToUs(cp.instructionCycles(i));

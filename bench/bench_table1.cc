@@ -12,7 +12,6 @@
 #include "fv/params.h"
 #include "hw/arm_host.h"
 #include "hw/coprocessor.h"
-#include "hw/program_builder.h"
 
 using namespace heat;
 using namespace heat::hw;
@@ -26,12 +25,8 @@ main(int argc, char **argv)
     Coprocessor cp(params, config);
     ArmHostModel host(params, config);
 
-    // Build the Mult program and price it.
-    ntt::RnsPoly zero(params->qBase(), params->degree());
-    std::array<PolyId, 2> a{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    std::array<PolyId, 2> b{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    ProgramBuilder builder(cp);
-    Program mult = builder.buildMult(a, b);
+    // Price the compiled Mult program.
+    const Program mult = bench::compiledMultProgram(params, config);
 
     double mult_us = 0.0;
     for (const auto &i : mult.instrs) {

@@ -10,7 +10,6 @@
 #include "bench_util.h"
 #include "fv/params.h"
 #include "hw/coprocessor.h"
-#include "hw/program_builder.h"
 
 using namespace heat;
 using namespace heat::hw;
@@ -23,11 +22,7 @@ main(int argc, char **argv)
     HwConfig config = HwConfig::paper();
     Coprocessor cp(params, config);
 
-    ntt::RnsPoly zero(params->qBase(), params->degree());
-    std::array<PolyId, 2> a{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    std::array<PolyId, 2> b{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    ProgramBuilder builder(cp);
-    Program mult = builder.buildMult(a, b);
+    const Program mult = bench::compiledMultProgram(params, config);
 
     std::map<Opcode, int> calls;
     for (const auto &i : mult.instrs)

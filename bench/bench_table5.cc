@@ -12,7 +12,6 @@
 #include "fv/params.h"
 #include "hw/arm_host.h"
 #include "hw/coprocessor.h"
-#include "hw/program_builder.h"
 #include "hw/resource_model.h"
 #include "hw/scaling_estimator.h"
 
@@ -56,11 +55,7 @@ main(int argc, char **argv)
     Resources one = rm.coprocessor();
 
     Coprocessor cp(params, config);
-    ntt::RnsPoly zero(params->qBase(), params->degree());
-    std::array<PolyId, 2> a{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    std::array<PolyId, 2> b{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    ProgramBuilder builder(cp);
-    Program mult = builder.buildMult(a, b);
+    const Program mult = bench::compiledMultProgram(params, config);
     double comp_us = 0.0, key_dma_us = 0.0;
     for (const auto &i : mult.instrs) {
         comp_us += config.cyclesToUs(cp.instructionCycles(i));

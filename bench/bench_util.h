@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers for the reproduction benchmarks: paper-vs-measured
- * table printing and the `--json <path>` structured reporter that
- * feeds the repo's performance trajectory (BENCH_*.json).
+ * table printing, the `--json <path>` structured reporter that feeds
+ * the repo's performance trajectory (BENCH_*.json), and the compiled
+ * FV.Mult program the table benches price.
  */
 
 #ifndef HEAT_BENCH_BENCH_UTIL_H
@@ -16,9 +17,28 @@
 #include <utility>
 
 #include "common/parallel.h"
+#include "compiler/compiler.h"
 #include "obs/metrics.h"
 
 namespace heat::bench {
+
+/**
+ * The FV.Mult (tensor + relinearization) program the serving layer
+ * runs for a single Mult: the compiled one-node Mult circuit, which
+ * fits the memory file and so compiles to one segment.
+ */
+inline hw::Program
+compiledMultProgram(const std::shared_ptr<const fv::FvParams> &params,
+                    const hw::HwConfig &config)
+{
+    compiler::CompilerOptions options;
+    options.hw = config;
+    return compiler::compileCircuit(
+               params, compiler::singleOpCircuit(compiler::NodeKind::kMult),
+               options)
+        .segments.at(0)
+        .program;
+}
 
 /** Print a table header. */
 inline void

@@ -363,6 +363,19 @@ multiplicativeDepth(const Circuit &circuit)
                : *std::max_element(depths.begin(), depths.end());
 }
 
+Circuit
+singleOpCircuit(NodeKind kind)
+{
+    fatalIf(kind != NodeKind::kAdd && kind != NodeKind::kMult,
+            "singleOpCircuit takes kAdd or kMult, got ",
+            nodeKindName(kind));
+    CircuitBuilder b;
+    const ValueId x = b.input();
+    const ValueId y = b.input();
+    b.output(kind == NodeKind::kAdd ? b.add(x, y) : b.mult(x, y));
+    return b.build();
+}
+
 size_t
 nonScalarMultCount(const Circuit &circuit)
 {

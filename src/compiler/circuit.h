@@ -189,6 +189,14 @@ class CircuitBuilder
     Circuit circuit_;
 };
 
+/**
+ * The two-input circuit of one FV operation: @p kind kAdd, or kMult
+ * for tensor + relinearization (the paper's Fig. 2 FV.Mult). Compiled,
+ * its program is the operation's instruction schedule — what the
+ * serving layer runs for a single-op submission.
+ */
+Circuit singleOpCircuit(NodeKind kind);
+
 /** @return true for the single-automorphism node kinds (kRotate and
  *  kRotateColumns) that participate in hoist groups. */
 bool isRotationNode(NodeKind kind);

@@ -859,7 +859,8 @@ validateInputs(const fv::FvParams &params,
 std::vector<fv::Ciphertext>
 runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
                 std::span<const fv::Ciphertext *const> inputs,
-                bool warm, CircuitRunStats *stats)
+                bool warm, CircuitRunStats *stats,
+                hw::DispatchMode dispatch = hw::DispatchMode::kFusedProgram)
 {
     const hw::ArmHostModel host(compiled.params, cp.config());
     const size_t resident_count = compiled.resident_inputs.size();
@@ -920,23 +921,30 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
         }
     }
 
-    std::vector<std::vector<ntt::RnsPoly>> values(
+    // Host-side polynomials per value: inputs are read in place from
+    // the caller's ciphertexts; stores hold what the program downloads
+    // (spills and final outputs).
+    std::vector<const fv::Ciphertext *> input_of(
+        compiled.value_sizes.size(), nullptr);
+    for (size_t k = 0; k < compiled.inputs.size(); ++k)
+        input_of[compiled.inputs[k]] = inputs[k];
+    std::vector<std::vector<ntt::RnsPoly>> stores(
         compiled.value_sizes.size());
-    for (size_t k = 0; k < compiled.inputs.size(); ++k) {
-        if (inputs[k] != nullptr)
-            values[compiled.inputs[k]] = {(*inputs[k])[0],
-                                          (*inputs[k])[1]};
-    }
+    const auto uploadSource =
+        [&](const Transfer &up) -> const ntt::RnsPoly & {
+        if (up.source == Transfer::Source::kConstant)
+            return compiled.constants[up.index];
+        const std::vector<ntt::RnsPoly> &store = stores[up.index];
+        if (up.poly < store.size() && store[up.poly].degree() != 0)
+            return store[up.poly];
+        panicIf(input_of[up.index] == nullptr,
+                "upload source is not available");
+        return (*input_of[up.index])[up.poly];
+    };
 
     for (const Segment &seg : compiled.segments) {
-        for (const Transfer &up : seg.uploads) {
-            const ntt::RnsPoly &src =
-                up.source == Transfer::Source::kConstant
-                    ? compiled.constants[up.index]
-                    : values[up.index][up.poly];
-            panicIf(src.degree() == 0, "upload source is not available");
-            cp.uploadInto(up.slot, src);
-        }
+        for (const Transfer &up : seg.uploads)
+            cp.uploadInto(up.slot, uploadSource(up));
         run.uploaded_polys += seg.uploads.size();
         if (!seg.uploads.empty()) {
             const double us = host.sendPolysUs(seg.uploads.size());
@@ -944,19 +952,20 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
             hostSpan("upload", us);
         }
 
-        const hw::ExecStats es =
-            cp.execute(seg.program, hw::DispatchMode::kFusedProgram);
+        const hw::ExecStats es = cp.execute(seg.program, dispatch);
         traced_us += es.traced_us;
         run.fpga_cycles += es.fpga_cycles;
         run.dma_us += es.dma_us;
         run.instructions += es.instructions;
         for (size_t u = 0; u < hw::kUnitCount; ++u)
             run.unit_cycles[u] += es.unit_cycles[u];
-        if (!seg.program.instrs.empty())
+        if (dispatch == hw::DispatchMode::kPerInstruction)
+            run.dispatches += es.instructions;
+        else if (!seg.program.instrs.empty())
             ++run.dispatches;
 
         for (const Transfer &down : seg.downloads) {
-            std::vector<ntt::RnsPoly> &store = values[down.index];
+            std::vector<ntt::RnsPoly> &store = stores[down.index];
             store.resize(compiled.value_sizes[down.index]);
             // Value polynomials are q-base; the record may be slot-
             // extended by a later lift of this fused program.
@@ -978,20 +987,31 @@ runCompiledImpl(hw::Coprocessor &cp, const CompiledCircuit &compiled,
              {"fpga_cycles", std::to_string(run.fpga_cycles)}});
     }
 
+    // Final stores move into the outputs; a value listed more than once
+    // is copied for all but its last listing. An input that is also an
+    // output and was never downloaded is copied from the caller.
+    const std::vector<ValueId> &outs = compiled.outputs;
     std::vector<fv::Ciphertext> outputs;
-    outputs.reserve(compiled.outputs.size());
-    for (ValueId out : compiled.outputs) {
-        const std::vector<ntt::RnsPoly> &store = values[out];
-        panicIf(store.size() != compiled.value_sizes[out],
-                "output value ", out, " was never materialized");
+    outputs.reserve(outs.size());
+    for (size_t k = 0; k < outs.size(); ++k) {
+        const ValueId out = outs[k];
+        std::vector<ntt::RnsPoly> &store = stores[out];
         fv::Ciphertext ct;
         ct.level = out < compiled.value_levels.size()
                        ? compiled.value_levels[out]
                        : 0;
-        for (const ntt::RnsPoly &poly : store) {
-            panicIf(poly.degree() == 0, "output polynomial missing");
-            ct.polys.push_back(poly);
+        if (store.empty()) {
+            panicIf(input_of[out] == nullptr, "output value ", out,
+                    " was never materialized");
+            ct.polys = input_of[out]->polys;
+        } else if (std::find(outs.begin() + k + 1, outs.end(), out) !=
+                   outs.end()) {
+            ct.polys = store;
+        } else {
+            ct.polys = std::move(store);
         }
+        for (const ntt::RnsPoly &poly : ct.polys)
+            panicIf(poly.degree() == 0, "output polynomial missing");
         outputs.push_back(std::move(ct));
     }
     if (stats != nullptr)
@@ -1048,14 +1068,15 @@ compileCircuit(std::shared_ptr<const fv::FvParams> params,
 std::vector<fv::Ciphertext>
 runCompiledCircuit(hw::Coprocessor &cp, const CompiledCircuit &compiled,
                    std::span<const fv::Ciphertext> inputs,
-                   CircuitRunStats *stats)
+                   CircuitRunStats *stats, hw::DispatchMode dispatch)
 {
     validateInputs(*compiled.params, inputs, compiled.inputs.size());
     std::vector<const fv::Ciphertext *> ptrs;
     ptrs.reserve(inputs.size());
     for (const fv::Ciphertext &ct : inputs)
         ptrs.push_back(&ct);
-    return runCompiledImpl(cp, compiled, ptrs, /*warm=*/false, stats);
+    return runCompiledImpl(cp, compiled, ptrs, /*warm=*/false, stats,
+                           dispatch);
 }
 
 std::vector<fv::Ciphertext>

@@ -2,10 +2,14 @@
  * @file
  * Circuit compiler: lowers a whole ciphertext expression DAG into one
  * fused coprocessor program with coprocessor-resident intermediates.
+ * Every program the serving layer runs comes from it: a single FV
+ * operation is a one-node circuit (singleOpCircuit), which the service
+ * runs with per-instruction dispatch to keep the paper's Table II
+ * accounting.
  *
- * The single-op serving path round-trips every ciphertext through the
- * host: upload operands, dispatch each instruction from the Arm, and
- * download the result — per operation. compileCircuit() instead
+ * Op-by-op execution round-trips every ciphertext through the host:
+ * upload operands, dispatch each instruction from the Arm, and download
+ * the result — per operation. compileCircuit() instead
  * schedules the circuit's nodes topologically into segments of one
  * straight-line hw::Program each, allocating memory-file slots by
  * liveness (a value's slots are reclaimed at its last use, so deep
@@ -262,7 +266,8 @@ struct CircuitRunStats
      *  sums exactly to fpga_cycles. */
     std::array<hw::Cycle, hw::kUnitCount> unit_cycles{};
     uint64_t instructions = 0;
-    /** Arm dispatches charged (fused: one per segment's program). */
+    /** Arm dispatches charged (fused: one per segment's program;
+     *  per-instruction: one per instruction). */
     uint64_t dispatches = 0;
     size_t segments = 0;
     size_t uploaded_polys = 0;
@@ -280,14 +285,18 @@ struct CircuitRunStats
  * Execute a compiled circuit on @p cp (which must hold the matching
  * relinearization keys when the circuit relinearizes). Resets the
  * coprocessor, replays the slot actions, then runs every segment:
- * upload, one fused dispatch, download. Returns the output
- * ciphertexts in output order; bit-exact with evaluateCircuit() over
- * the HPS evaluator.
+ * upload, dispatch, download. Returns the output ciphertexts in output
+ * order; bit-exact with evaluateCircuit() over the HPS evaluator.
+ *
+ * @param dispatch kFusedProgram charges one Arm dispatch per segment;
+ *        kPerInstruction charges one per instruction, the paper's
+ *        measured cost of a single operation (Table II).
  */
 std::vector<fv::Ciphertext> runCompiledCircuit(
     hw::Coprocessor &cp, const CompiledCircuit &compiled,
     std::span<const fv::Ciphertext> inputs,
-    CircuitRunStats *stats = nullptr);
+    CircuitRunStats *stats = nullptr,
+    hw::DispatchMode dispatch = hw::DispatchMode::kFusedProgram);
 
 /**
  * Warm execution of a circuit compiled with
@@ -312,7 +321,7 @@ std::vector<fv::Ciphertext> runCompiledCircuitWarm(
  * Reference execution model of the *unfused* serving path: every node
  * becomes its own host round trip (operands uploaded, the node's
  * program dispatched per instruction, results downloaded), with a
- * kRelin folded into its producer like the single-op Mult plan.
+ * kRelin folded into its producer like the one-node Mult circuit.
  * Functionally identical to runCompiledCircuit(); the modeled time is
  * what circuit fusion is benchmarked against.
  */

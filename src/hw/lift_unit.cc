@@ -19,8 +19,9 @@ LiftUnit::run(MemoryFile &memory, PolyId id) const
     const size_t kp = params_->pBase()->size();
     const auto &conv = params_->liftConverter(level);
 
-    // The ProgramBuilder pre-extends the record at build time (static
-    // slot accounting); a standalone caller may pass a plain q record.
+    // OpEmitter::emitMult/emitSquare pre-extend the record at build
+    // time (static slot accounting); a standalone caller may pass a
+    // plain q record.
     if (memory.record(id).base == BaseTag::kQ)
         memory.extendToFull(id);
     PolyRecord &full = memory.record(id);

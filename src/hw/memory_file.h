@@ -242,7 +242,7 @@ class MemoryFile : public SlotAllocator
     /**
      * Drop every record and return all slots: the reprogramming step
      * between op schedules (a Mult program alone peaks at 78 of the 84
-     * slots, so plans for different operations cannot stay resident
+     * slots, so programs for different operations cannot stay resident
      * simultaneously). Also clears the peak-slot watermark and any
      * pinned prefix.
      */

@@ -1,16 +1,15 @@
 /**
  * @file
  * Builds the instruction sequences for the high-level homomorphic
- * operations (Fig. 2) against a coprocessor's memory file.
+ * operations (Fig. 2) against a memory-file slot allocator.
  *
- * The core is a set of composable per-op emitters (OpEmitter): each
- * appends one FV operation's instruction sequence to a program,
- * allocating operand/temporary/result slots through the SlotAllocator
- * interface — a real MemoryFile when a plan executes in place, or a
- * CountingAllocator when the circuit compiler schedules a whole fused
- * program at build time. The legacy ProgramBuilder facade and the
- * OpPlan helpers for the single-op serving path are thin wrappers over
- * the emitters.
+ * The emitters (OpEmitter) are composable: each appends one FV
+ * operation's instruction sequence to a program, allocating
+ * operand/temporary/result slots through the SlotAllocator interface —
+ * a CountingAllocator when the circuit compiler schedules a program at
+ * build time (every program the serving layer runs, single operations
+ * included, comes from compiler::compileCircuit), or a real MemoryFile
+ * when a test or the op-by-op reference path emits in place.
  *
  * The Mult schedule reproduces the paper's instruction mix (Table II):
  * 4 Lift, 14 NTT, 8 Inverse-NTT, 20 coefficient-wise multiplications,
@@ -27,58 +26,11 @@
 #include <array>
 #include <vector>
 
-#include "hw/coprocessor.h"
+#include "fv/params.h"
 #include "hw/isa.h"
+#include "hw/memory_file.h"
 
 namespace heat::hw {
-
-/**
- * A built program together with its operand bindings — a plain value.
- *
- * Slot allocation inside the memory file is deterministic: building the
- * same plan against any freshly-constructed coprocessor with the same
- * parameter set and configuration yields identical PolyIds and an
- * identical instruction stream. A plan can therefore be built once and
- * dispatched to any worker's coprocessor, provided that worker prepared
- * its memory file with preparePlanSlots() (or built the same plan
- * itself). Re-execution only requires re-uploading the inputs.
- */
-struct OpPlan
-{
-    /** Which high-level operation the program implements. */
-    enum class Kind : uint8_t { kAdd, kMult };
-
-    Kind kind = Kind::kAdd;
-    Program program;
-    /** Operand slots for the first ciphertext (c0, c1). */
-    std::array<PolyId, 2> in_a{kNoPoly, kNoPoly};
-    /** Operand slots for the second ciphertext (c0, c1). */
-    std::array<PolyId, 2> in_b{kNoPoly, kNoPoly};
-
-    bool operator==(const OpPlan &o) const = default;
-};
-
-/**
- * Build the FV.Add plan against @p cp, allocating its operand and
- * result slots. @p cp must be freshly constructed (or in the same
- * allocation state as every other coprocessor the plan will run on).
- */
-OpPlan makeAddPlan(Coprocessor &cp);
-
-/** Build the FV.Mult-with-relinearization plan against @p cp. */
-OpPlan makeMultPlan(Coprocessor &cp);
-
-/**
- * Replay @p plan's slot allocations on another coprocessor so the plan
- * becomes executable there. Panics if the replayed allocation diverges
- * from the plan (the coprocessor was not in the expected state).
- */
-void preparePlanSlots(Coprocessor &cp, const OpPlan &plan);
-
-/** Upload both operand ciphertext polynomial pairs of @p plan. */
-void uploadPlanInputs(Coprocessor &cp, const OpPlan &plan,
-                      const std::array<const ntt::RnsPoly *, 2> &a,
-                      const std::array<const ntt::RnsPoly *, 2> &b);
 
 /**
  * Composable per-op program emitters.
@@ -279,33 +231,6 @@ class OpEmitter
     SlotAllocator &alloc_;
     Program &p_;
     PolyId zero_ = kNoPoly;
-};
-
-/** Emits coprocessor programs for the high-level FV operations
- *  directly against a coprocessor (the single-op plan path). */
-class ProgramBuilder
-{
-  public:
-    explicit ProgramBuilder(Coprocessor &cp) : cp_(cp) {}
-
-    /**
-     * FV.Add: two coefficient-wise additions (one per ciphertext
-     * polynomial). Inputs are left resident.
-     *
-     * @return program with outputs {c0, c1}.
-     */
-    Program buildAdd(std::array<PolyId, 2> a, std::array<PolyId, 2> b);
-
-    /**
-     * FV.Mult with relinearization (Fig. 2). Consumes the input
-     * records' slots (they are released at their last use).
-     *
-     * @return program with outputs {c0, c1}.
-     */
-    Program buildMult(std::array<PolyId, 2> a, std::array<PolyId, 2> b);
-
-  private:
-    Coprocessor &cp_;
 };
 
 } // namespace heat::hw

@@ -14,11 +14,26 @@ profileMultJob(const std::shared_ptr<const fv::FvParams> &params,
 {
     const bool fused = dispatch == DispatchMode::kFusedProgram;
     MultJobProfile profile;
+    // Emit the Mult (tensor + relinearization) at build time; the
+    // scratch coprocessor only prices instructions, whose level-0
+    // costs need no memory-file state.
+    Program program;
+    CountingAllocator alloc(*params, config);
+    OpEmitter emitter(*params, alloc, program);
+    const auto operand = [&] {
+        return alloc.allocate(BaseTag::kQ, Layout::kNatural,
+                              "Mult operand");
+    };
+    const std::array<PolyId, 2> a{operand(), operand()};
+    const std::array<PolyId, 2> b{operand(), operand()};
+    const OpEmitter::MultResult tensor =
+        emitter.emitMult(a, b, /*consume_a=*/true, /*consume_b=*/true,
+                         /*want_digits=*/true, /*want_c2=*/false);
+    emitter.emitRelin(tensor.ct[0], tensor.ct[1], tensor.digits);
     Coprocessor scratch(params, config);
-    OpPlan plan = makeMultPlan(scratch);
 
     Cycle compute_cycles = 0;
-    for (const Instruction &instr : plan.program.instrs) {
+    for (const Instruction &instr : program.instrs) {
         compute_cycles += fused
                               ? scratch.instructionComputeCycles(instr)
                               : scratch.instructionCycles(instr);
@@ -27,7 +42,7 @@ profileMultJob(const std::shared_ptr<const fv::FvParams> &params,
             profile.key_dma_us = scratch.instructionDmaUs(instr);
         }
     }
-    if (fused && !plan.program.instrs.empty())
+    if (fused && !program.instrs.empty())
         compute_cycles += static_cast<Cycle>(config.dispatch_overhead);
     profile.compute_us = config.cyclesToUs(compute_cycles);
 

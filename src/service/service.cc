@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#include "hw/arm_host.h"
 #include "hw/coprocessor.h"
 #include "obs/trace.h"
 #include "verify/verify.h"
@@ -46,16 +45,22 @@ ExecutionService::ExecutionService(
     registerSession("default", std::move(rlk), std::move(gkeys),
                     /*weight=*/1);
 
-    // Build the prototype plans once; this also proves each program
-    // fits the memory file before any worker starts. Each plan assumes
-    // a freshly-reprogrammed memory file (a Mult alone peaks at 78 of
-    // 84 slots, so plans are installed one at a time). Plans are slot
-    // schedules — key-set independent — so any session's keys work.
-    Session &def = sessions_.front();
-    hw::Coprocessor prototype(params_, config_.hw, &def.rlk, &def.gkeys);
-    add_plan_ = hw::makeAddPlan(prototype);
-    prototype.reset();
-    mult_plan_ = hw::makeMultPlan(prototype);
+    // Compile the single-op circuits once, verified under this
+    // service's policy. Their slot schedules are key-set independent,
+    // so one pair serves every session. Single ops are exempt from
+    // noise admission.
+    compiler::CompilerOptions op_options;
+    op_options.hw = config_.hw;
+    op_options.noise_check = compiler::NoiseCheck::kOff;
+    op_options.verify = config_.verify;
+    const auto compileOp = [&](compiler::NodeKind kind) {
+        return std::make_shared<const compiler::CompiledCircuit>(
+            compiler::compileCircuit(params_,
+                                     compiler::singleOpCircuit(kind),
+                                     op_options));
+    };
+    add_circuit_ = compileOp(compiler::NodeKind::kAdd);
+    mult_circuit_ = compileOp(compiler::NodeKind::kMult);
 
     started_ = !config_.start_paused;
     worker_clock_us_.assign(config_.workers, 0.0);
@@ -196,9 +201,11 @@ ExecutionService::submit(TenantId tenant, Op op, fv::Ciphertext a,
     Job job;
     job.session = &s;
     job.arrival_us = arrival_us;
-    job.op = op;
-    job.a = std::move(a);
-    job.b = std::move(b);
+    job.kind = op == Op::kAdd ? Job::Kind::kAdd : Job::Kind::kMult;
+    job.circuit = op == Op::kAdd ? add_circuit_ : mult_circuit_;
+    job.circuit_inputs.reserve(2);
+    job.circuit_inputs.push_back(std::move(a));
+    job.circuit_inputs.push_back(std::move(b));
     std::future<fv::Ciphertext> future = job.promise.get_future();
     enqueue(s, std::move(job));
     return future;
@@ -421,7 +428,7 @@ ExecutionService::submitCompiledResident(
     job.arrival_us = arrival_us;
     job.circuit = std::move(compiled);
     job.circuit_inputs = std::move(request_inputs);
-    job.resident = true;
+    job.kind = Job::Kind::kResident;
     job.resident_handles.assign(resident_handles.begin(),
                                 resident_handles.end());
     {
@@ -601,13 +608,11 @@ ExecutionService::snapshot() const
 void
 ExecutionService::workerLoop(size_t worker_index)
 {
-    // Per-worker hardware instance. Exactly one op plan is installed
-    // at a time: switching op kinds reprograms the memory file and
-    // replays the new plan's slot allocations. Key sets are attached
-    // per job (attachKeys re-points the kKeyLoad stream at the
-    // submitting session's DDR-resident keys).
+    // Per-worker hardware instance. Every job replays its circuit's
+    // slot allocation (a warm resident run only the unpinned suffix).
+    // Key sets are attached per job (attachKeys re-points the kKeyLoad
+    // stream at the submitting session's DDR-resident keys).
     std::optional<hw::Coprocessor> cp;
-    std::optional<hw::OpPlan::Kind> installed;
     const Session *keys_attached = nullptr;
     uint64_t batch_key_swaps = 0;
 
@@ -625,7 +630,6 @@ ExecutionService::workerLoop(size_t worker_index)
     };
     const auto rebuild = [&] {
         cp.emplace(params_, config_.hw, nullptr, nullptr);
-        installed.reset();
         keys_attached = nullptr;
         invalidate_cache();
     };
@@ -637,19 +641,7 @@ ExecutionService::workerLoop(size_t worker_index)
             ++batch_key_swaps;
         keys_attached = s;
     };
-    const auto install = [&](const hw::OpPlan &plan) {
-        if (installed == plan.kind)
-            return;
-        // Reprogram unconditionally: a circuit job (or a fresh build)
-        // leaves the memory file in an unknown layout. This also
-        // clears any pinned resident prefix.
-        cp->reset();
-        invalidate_cache();
-        hw::preparePlanSlots(*cp, plan);
-        installed = plan.kind;
-    };
     rebuild();
-    const hw::ArmHostModel host(params_, config_.hw);
     const auto dispatch =
         static_cast<hw::Cycle>(config_.hw.dispatch_overhead);
     // Worker-local modeled clock; mirrored to worker_clock_us_ under
@@ -678,9 +670,8 @@ ExecutionService::workerLoop(size_t worker_index)
             // worker clock forward and every older job processed
             // afterwards inherits the inflated completion time. A
             // weight-w tenant still contributes up to w consecutive
-            // jobs per turn, which is what bounds key swaps and plan
-            // reprogramming per batch, and under backlog gives it a
-            // w-sized share of every batch.
+            // jobs per turn, which is what bounds key swaps per batch,
+            // and under backlog gives it a w-sized share of every batch.
             while (batch.size() < config_.max_batch &&
                    queued_total_ > 0) {
                 size_t best = sessions_.size();
@@ -711,15 +702,14 @@ ExecutionService::workerLoop(size_t worker_index)
             in_flight_ += batch.size();
             queue_depth_gauge_->set(static_cast<double>(queued_total_));
         }
-        // Group by session, then op kind (plain circuits after ops,
-        // resident circuits last so a cold run's pins survive into
-        // the next batch): the jobs are independent, and grouping
-        // bounds memory-file reprogramming and key swaps.
+        // Group by session, then job kind (see Job::Kind): the jobs are
+        // independent, and grouping bounds key swaps and lets same-kind
+        // single ops stream back to back.
         std::stable_sort(batch.begin(), batch.end(),
                          [](const Job &x, const Job &y) {
                              if (x.session->id != y.session->id)
                                  return x.session->id < y.session->id;
-                             return x.sortKey() < y.sortKey();
+                             return x.kind < y.kind;
                          });
 
         size_t batch_completed = 0;
@@ -735,7 +725,9 @@ ExecutionService::workerLoop(size_t worker_index)
         std::vector<double> batch_latencies;
         batch_latencies.reserve(batch.size());
         batch_key_swaps = 0;
-        bool first_in_batch = true;
+        // Set while the previous job of this batch ran per instruction:
+        // the next one's dispatch then overlaps its compute.
+        bool stream_open = false;
 
         // Per-tenant deltas, applied to the sessions under mu_ when
         // the batch retires (batches are small, linear scan is fine).
@@ -783,7 +775,7 @@ ExecutionService::workerLoop(size_t worker_index)
                         start - job.arrival_us,
                         {{"tenant", job.session->name}});
                 obs::recordModeledSpan(
-                    job.isCircuit() ? "request:circuit" : "request:op",
+                    job.isSingleOp() ? "request:op" : "request:circuit",
                     "service", start, cost_us,
                     {{"tenant", job.session->name}});
             }
@@ -796,135 +788,94 @@ ExecutionService::workerLoop(size_t worker_index)
         for (Job &job : batch) {
             begin_job(job);
             attach(job.session);
-            if (job.isCircuit()) {
-                try {
-                    compiler::CircuitRunStats cstats;
-                    std::vector<fv::Ciphertext> outs;
-                    if (!job.resident) {
-                        outs = compiler::runCompiledCircuit(
-                            *cp, *job.circuit, job.circuit_inputs,
-                            &cstats);
-                        invalidate_cache(); // the run reset the pins
-                    } else if (cached_circuit.get() ==
-                                   job.circuit.get() &&
-                               cached_session == job.session &&
-                               cached_handles == job.resident_handles) {
-                        // Cache hit: pinned operands are already in
-                        // the memory-file prefix — no operand upload.
-                        outs = compiler::runCompiledCircuitWarm(
-                            *cp, *job.circuit, job.circuit_inputs,
-                            &cstats);
-                        ++batch_warm;
-                    } else {
-                        // Cache miss: assemble the full positional
-                        // input list and run cold — runCompiledCircuit
-                        // uploads the pinned operands into the prefix
-                        // and leaves them pinned for the next hit.
-                        std::vector<fv::Ciphertext> full(
-                            job.circuit->inputs.size());
-                        std::vector<bool> res_pos(full.size(), false);
-                        for (size_t k = 0;
-                             k < job.circuit->resident_inputs.size();
-                             ++k) {
-                            const uint32_t pos =
-                                job.circuit->resident_inputs[k];
-                            full[pos] = *job.resident_operands[k];
-                            res_pos[pos] = true;
-                        }
-                        size_t next = 0;
-                        for (size_t k = 0; k < full.size(); ++k) {
-                            if (!res_pos[k])
-                                full[k] = std::move(
-                                    job.circuit_inputs[next++]);
-                        }
-                        outs = compiler::runCompiledCircuit(
-                            *cp, *job.circuit, full, &cstats);
-                        cached_circuit = job.circuit;
-                        cached_session = job.session;
-                        cached_handles = job.resident_handles;
-                        ++batch_cold;
-                    }
-                    job.circuit_promise.set_value(std::move(outs));
-                    batch_cycles += cstats.fpga_cycles;
-                    batch_dma_us += cstats.dma_us;
-                    batch_host_us += cstats.host_us;
-                    ++batch_circuits;
-                    batch_circuit_nodes +=
-                        job.circuit->value_sizes.size() -
-                        job.circuit->inputs.size();
-                    TenantDelta &d = delta_for(job.session);
-                    ++d.completed;
-                    for (size_t u = 0; u < hw::kUnitCount; ++u) {
-                        batch_units[u] += cstats.unit_cycles[u];
-                        d.units[u] += cstats.unit_cycles[u];
-                    }
-                    job.session->completed_ctr->add();
-                    finish_job(job, cstats.modeledUs(config_.hw));
-                } catch (...) {
-                    job.fail(std::current_exception());
-                    ++batch_failed;
-                    ++delta_for(job.session).failed;
-                    rebuild();
-                }
-                // The circuit reprogrammed the memory file; the next
-                // single-op job reinstalls its plan and restarts the
-                // back-to-back dispatch stream.
-                installed.reset();
-                first_in_batch = true;
-                continue;
-            }
-            const hw::OpPlan &plan =
-                job.op == Op::kAdd ? add_plan_ : mult_plan_;
+            const bool single_op = job.isSingleOp();
             try {
-                install(plan);
-                hw::uploadPlanInputs(*cp, plan, {&job.a[0], &job.a[1]},
-                                     {&job.b[0], &job.b[1]});
-                hw::ExecStats s = cp->execute(plan.program);
-                batch_cycles += s.fpga_cycles;
-                batch_dma_us += s.dma_us;
+                compiler::CircuitRunStats cstats;
+                std::vector<fv::Ciphertext> outs;
+                if (job.kind != Job::Kind::kResident) {
+                    outs = compiler::runCompiledCircuit(
+                        *cp, *job.circuit, job.circuit_inputs, &cstats,
+                        single_op ? hw::DispatchMode::kPerInstruction
+                                  : hw::DispatchMode::kFusedProgram);
+                    invalidate_cache(); // the run reset the pins
+                } else if (cached_circuit.get() == job.circuit.get() &&
+                           cached_session == job.session &&
+                           cached_handles == job.resident_handles) {
+                    // Cache hit: pinned operands are already in the
+                    // memory-file prefix — no operand upload.
+                    outs = compiler::runCompiledCircuitWarm(
+                        *cp, *job.circuit, job.circuit_inputs, &cstats);
+                    ++batch_warm;
+                } else {
+                    // Cache miss: assemble the full positional input
+                    // list and run cold — runCompiledCircuit uploads
+                    // the pinned operands into the prefix and leaves
+                    // them pinned for the next hit.
+                    std::vector<fv::Ciphertext> full(
+                        job.circuit->inputs.size());
+                    std::vector<bool> res_pos(full.size(), false);
+                    for (size_t k = 0;
+                         k < job.circuit->resident_inputs.size(); ++k) {
+                        const uint32_t pos =
+                            job.circuit->resident_inputs[k];
+                        full[pos] = *job.resident_operands[k];
+                        res_pos[pos] = true;
+                    }
+                    size_t next = 0;
+                    for (size_t k = 0; k < full.size(); ++k) {
+                        if (!res_pos[k])
+                            full[k] =
+                                std::move(job.circuit_inputs[next++]);
+                    }
+                    outs = compiler::runCompiledCircuit(
+                        *cp, *job.circuit, full, &cstats);
+                    cached_circuit = job.circuit;
+                    cached_session = job.session;
+                    cached_handles = job.resident_handles;
+                    ++batch_cold;
+                }
+                // Back-to-back per-instruction programs stream from the
+                // queued instruction sequence: their Arm dispatch
+                // overlaps the previous compute.
+                const hw::Cycle amortized =
+                    single_op && stream_open
+                        ? std::min(cstats.fpga_cycles,
+                                   dispatch * cstats.instructions)
+                        : 0;
+                stream_open = single_op;
+
+                if (single_op) {
+                    job.promise.set_value(std::move(outs.front()));
+                    ++batch_completed;
+                } else {
+                    job.circuit_promise.set_value(std::move(outs));
+                    ++batch_circuits;
+                    batch_circuit_nodes += job.circuit->value_sizes.size() -
+                                           job.circuit->inputs.size();
+                }
+                batch_cycles += cstats.fpga_cycles;
+                batch_dma_us += cstats.dma_us;
+                batch_host_us += cstats.host_us;
                 TenantDelta &d = delta_for(job.session);
-                for (size_t u = 0; u < hw::kUnitCount; ++u) {
-                    batch_units[u] += s.unit_cycles[u];
-                    d.units[u] += s.unit_cycles[u];
-                }
-                hw::Cycle amortized = 0;
-                if (!first_in_batch) {
-                    // Back-to-back programs stream from the queued
-                    // instruction sequence: their per-instruction Arm
-                    // dispatch overlaps the previous compute.
-                    amortized = dispatch * plan.program.instrs.size();
-                }
-                first_in_batch = false;
-
-                fv::Ciphertext out;
-                out.polys.push_back(
-                    cp->downloadPoly(plan.program.outputs[0]));
-                out.polys.push_back(
-                    cp->downloadPoly(plan.program.outputs[1]));
-                job.promise.set_value(std::move(out));
-                ++batch_completed;
                 ++d.completed;
+                for (size_t u = 0; u < hw::kUnitCount; ++u) {
+                    batch_units[u] += cstats.unit_cycles[u];
+                    d.units[u] += cstats.unit_cycles[u];
+                }
                 job.session->completed_ctr->add();
-
-                const double job_host_us =
-                    host.sendCiphertextsUs(2) +
-                    host.receiveCiphertextsUs(1);
-                batch_host_us += job_host_us;
-                finish_job(
-                    job,
-                    config_.hw.cyclesToUs(
-                        s.fpga_cycles -
-                        std::min(s.fpga_cycles, amortized)) +
-                        s.dma_us + job_host_us);
+                finish_job(job,
+                           config_.hw.cyclesToUs(cstats.fpga_cycles -
+                                                 amortized) +
+                               cstats.dma_us + cstats.host_us);
             } catch (...) {
-                job.promise.set_exception(std::current_exception());
+                job.fail(std::current_exception());
                 ++batch_failed;
                 ++delta_for(job.session).failed;
                 // The failed program may have left memory-file layouts
                 // inconsistent; rebuild this worker's coprocessor so
                 // later jobs start from a clean instance.
                 rebuild();
-                first_in_batch = true;
+                stream_open = false;
             }
         }
 

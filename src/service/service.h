@@ -9,6 +9,10 @@
  * (submit(Op, a, b) — one host round trip each) and whole circuits
  * (submitCircuit — compiled once into fused programs whose
  * intermediates stay coprocessor-resident; see compiler/compiler.h).
+ * Both execute the same way: a single operation is a one-node
+ * compiled circuit (compiler::singleOpCircuit), compiled once per
+ * service. It runs with per-instruction Arm dispatch, the paper's
+ * Table I/II cost model; a submitted circuit runs as a fused program.
  *
  * The service is multi-tenant: every submission runs under a tenant
  * session carrying its own relinearization and Galois key sets
@@ -23,9 +27,10 @@
  * the bound shed synchronously with ServiceOverloadedError.
  *
  * Admission control: the compiler's noise pass runs (or is reused) at
- * submit time. Under ServiceConfig::admission == NoiseCheck::kReject a
- * circuit whose predicted invariant-noise budget dies before its
- * outputs is rejected synchronously with AdmissionRejectedError naming
+ * submit time for submitted circuits (single operations are exempt).
+ * Under ServiceConfig::admission == NoiseCheck::kReject a circuit
+ * whose predicted invariant-noise budget dies before its outputs is
+ * rejected synchronously with AdmissionRejectedError naming
  * the first exhausted node — after one re-leveling attempt
  * (auto_mod_switch) when admission_relevel is set and the submission
  * came through submitCircuit.
@@ -40,15 +45,17 @@
  * either way.
  *
  * Workers drain in batches (up to ServiceConfig::max_batch per
- * dequeue) and execute the batch as back-to-back programs.
- * Functionally every operation is bit-exact against fv::Evaluator's
- * HPS path; for timing, the service keeps a modeled clock per worker
- * in which the per-instruction Arm dispatch overhead of all but the
- * first program of a batch overlaps with compute. Jobs may carry a
- * modeled arrival timestamp (open-loop load generation): a worker
- * starts such a job at max(worker clock, arrival) and the recorded
- * latency is completion minus arrival — latency() reports the
- * distribution (p50/p99).
+ * dequeue) and execute the batch as back-to-back programs, grouped per
+ * tenant as single Adds, single Mults, plain circuits, then resident
+ * circuits. Functionally every operation is bit-exact against
+ * fv::Evaluator's HPS path; for timing, the service keeps a modeled
+ * clock per worker in which the per-instruction Arm dispatch overhead
+ * of a single operation that directly follows another one in the
+ * batch overlaps with compute (a fused circuit restarts the stream).
+ * Jobs may carry a modeled arrival timestamp (open-loop load
+ * generation): a worker starts such a job at max(worker clock,
+ * arrival) and the recorded latency is completion minus arrival —
+ * latency() reports the distribution (p50/p99).
  *
  * Shutdown semantics: shutdown() (also run by the destructor) stops
  * intake, lets in-flight batches finish, joins the workers, and fails
@@ -78,7 +85,6 @@
 #include "fv/params.h"
 #include "hw/config.h"
 #include "hw/isa.h"
-#include "hw/program_builder.h"
 #include "obs/metrics.h"
 
 namespace heat::service {
@@ -216,6 +222,8 @@ struct TenantStats
 /** Aggregate execution statistics (monotonic over the service life). */
 struct ServiceStats
 {
+    /** Single operations (submit) completed; circuit jobs count in
+     *  circuits_completed instead. */
     uint64_t ops_completed = 0;
     /** Jobs whose execution threw; their futures carry the error. */
     uint64_t ops_failed = 0;
@@ -300,11 +308,12 @@ struct ServiceSnapshot
 };
 
 /**
- * The execution service. Construction spawns the worker pool; each
- * worker builds its own hw::Coprocessor plus the shared operation
- * plans (hw::OpPlan values — identical across workers because memory-
- * file allocation is deterministic), so submission never blocks on
- * hardware setup.
+ * The execution service. Construction compiles the one-node Add and
+ * Mult circuits that serve submit(Op, a, b) and spawns the worker
+ * pool; each worker builds its own hw::Coprocessor and replays a
+ * job's recorded slot allocation before running it (compiled programs
+ * are plain values, so any worker runs any job), so submission never
+ * blocks on hardware setup.
  *
  * Thread safety: submit*(), registerTenant(), pinInput(), drain(),
  * shutdown() and stats() may be called concurrently from any number of
@@ -364,8 +373,10 @@ class ExecutionService
 
     /**
      * Enqueue one operation on two size-2 ciphertexts under the
-     * default session. Shape errors (wrong element count, base, or
-     * degree) throw FatalError synchronously; a stopped service throws
+     * default session. It runs as the service's one-node compiled
+     * circuit for @p op with per-instruction dispatch, and skips noise
+     * admission. Shape errors (wrong element count, base, or degree)
+     * throw FatalError synchronously; a stopped service throws
      * ServiceStoppedError; a full tenant queue throws
      * ServiceOverloadedError.
      *
@@ -531,16 +542,22 @@ class ExecutionService
         /** Modeled arrival time; negative = untimed submission. */
         double arrival_us = -1.0;
 
-        /** Single-op job (circuit == nullptr) or fused circuit job. */
-        Op op = Op::kAdd;
-        fv::Ciphertext a;
-        fv::Ciphertext b;
-        std::promise<fv::Ciphertext> promise;
+        /** What was submitted, declared in batch execution order:
+         *  single ops grouped per kind, then plain circuits, resident
+         *  circuits last (so a cold run's pins survive into the next
+         *  batch). */
+        enum class Kind : uint8_t { kAdd, kMult, kCircuit, kResident };
+        Kind kind = Kind::kCircuit;
 
+        /** The program: a submitted circuit, or the service's one-node
+         *  circuit for a single op. */
         std::shared_ptr<const compiler::CompiledCircuit> circuit;
-        /** All inputs (plain circuit job), or only the non-resident
-         *  request inputs (resident job). */
+        /** All inputs (single op or plain circuit job), or only the
+         *  non-resident request inputs (resident job). */
         std::vector<fv::Ciphertext> circuit_inputs;
+        /** Single ops resolve `promise` with their one output; circuit
+         *  jobs resolve `circuit_promise`. */
+        std::promise<fv::Ciphertext> promise;
         std::promise<std::vector<fv::Ciphertext>> circuit_promise;
 
         /** Resident job: pinned operands (one per
@@ -549,29 +566,17 @@ class ExecutionService
         std::vector<std::shared_ptr<const fv::Ciphertext>>
             resident_operands;
         std::vector<PinnedHandle> resident_handles;
-        bool resident = false;
 
-        bool isCircuit() const { return circuit != nullptr; }
-
-        /** Batch ordering key: group per-op kinds, then plain
-         *  circuits, resident circuits last (so a cold run's pins
-         *  survive into the next batch). */
-        int
-        sortKey() const
-        {
-            if (!isCircuit())
-                return op == Op::kAdd ? 0 : 1;
-            return resident ? 3 : 2;
-        }
+        bool isSingleOp() const { return kind <= Kind::kMult; }
 
         /** Fail this job's pending future with @p error. */
         void
         fail(const std::exception_ptr &error)
         {
-            if (isCircuit())
-                circuit_promise.set_exception(error);
-            else
+            if (isSingleOp())
                 promise.set_exception(error);
+            else
+                circuit_promise.set_exception(error);
         }
     };
 
@@ -597,9 +602,9 @@ class ExecutionService
 
     std::shared_ptr<const fv::FvParams> params_;
     ServiceConfig config_;
-    /** Prototype plans, built once; workers replay their allocation. */
-    hw::OpPlan add_plan_;
-    hw::OpPlan mult_plan_;
+    /** One-node circuits serving submit(Op), compiled once. */
+    std::shared_ptr<const compiler::CompiledCircuit> add_circuit_;
+    std::shared_ptr<const compiler::CompiledCircuit> mult_circuit_;
 
     mutable std::mutex mu_;
     /** Serializes concurrent shutdown() calls (thread join phase). */

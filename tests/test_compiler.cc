@@ -172,6 +172,71 @@ TEST(Compiler, FusedMatchesEvaluatorAndOpByOp)
               unfused_stats.modeledUs(u.config));
 }
 
+TEST(Compiler, RepeatedAndInputOutputsGetTheirOwnCopies)
+{
+    // Outputs {x + y, x, x + y}: the repeated value comes back once per
+    // listing, and an input listed as an output comes back unchanged.
+    Universe u(13);
+    CircuitBuilder b;
+    const ValueId x = b.input();
+    const ValueId y = b.input();
+    const ValueId sum = b.add(x, y);
+    b.output(sum);
+    b.output(x);
+    Circuit circuit = b.build();
+    circuit.outputs.push_back(sum);
+
+    const std::vector<Ciphertext> inputs = {u.randomCipher(3),
+                                            u.randomCipher(4)};
+    CompilerOptions options;
+    options.hw = u.config;
+    const CompiledCircuit compiled =
+        compiler::compileCircuit(u.params, circuit, options);
+    hw::Coprocessor cp(u.params, u.config, &u.rlk);
+    const std::vector<Ciphertext> fused =
+        compiler::runCompiledCircuit(cp, compiled, inputs);
+    ASSERT_EQ(fused.size(), 3u);
+    EXPECT_EQ(fused[0], u.evaluator->add(inputs[0], inputs[1]));
+    EXPECT_EQ(fused[1], inputs[0]);
+    EXPECT_EQ(fused[2], fused[0]);
+}
+
+TEST(Compiler, PerInstructionDispatchChargesEveryInstruction)
+{
+    // The same compiled program under both dispatch modes: identical
+    // results, transfers and DMA; per-instruction dispatch adds one
+    // dispatch overhead per instruction beyond the fused single one.
+    Universe u(17);
+    CompilerOptions options;
+    options.hw = u.config;
+    const CompiledCircuit mult = compiler::compileCircuit(
+        u.params, compiler::singleOpCircuit(compiler::NodeKind::kMult),
+        options);
+    ASSERT_EQ(mult.segments.size(), 1u);
+    const std::vector<Ciphertext> inputs = {u.randomCipher(5),
+                                            u.randomCipher(6)};
+    hw::Coprocessor cp(u.params, u.config, &u.rlk);
+    CircuitRunStats fused_stats, per_instr_stats;
+    const std::vector<Ciphertext> fused =
+        compiler::runCompiledCircuit(cp, mult, inputs, &fused_stats);
+    const std::vector<Ciphertext> per_instr = compiler::runCompiledCircuit(
+        cp, mult, inputs, &per_instr_stats,
+        hw::DispatchMode::kPerInstruction);
+
+    EXPECT_EQ(per_instr, fused);
+    EXPECT_EQ(fused[0], u.evaluator->multiply(inputs[0], inputs[1], u.rlk));
+    const uint64_t instructions = mult.instructionCount();
+    EXPECT_EQ(fused_stats.dispatches, 1u);
+    EXPECT_EQ(per_instr_stats.dispatches, instructions);
+    EXPECT_EQ(per_instr_stats.instructions, instructions);
+    const auto dispatch =
+        static_cast<hw::Cycle>(u.config.dispatch_overhead);
+    EXPECT_EQ(per_instr_stats.fpga_cycles,
+              fused_stats.fpga_cycles + dispatch * (instructions - 1));
+    EXPECT_EQ(per_instr_stats.dma_us, fused_stats.dma_us);
+    EXPECT_EQ(per_instr_stats.host_us, fused_stats.host_us);
+}
+
 TEST(Compiler, SlotReuseAllowsDeepCircuits)
 {
     Universe u(23);

@@ -13,7 +13,6 @@
 
 #include <future>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -25,7 +24,6 @@
 #include "fv/keygen.h"
 #include "fv/params.h"
 #include "hw/coprocessor.h"
-#include "hw/program_builder.h"
 #include "service/service.h"
 
 namespace heat {
@@ -34,6 +32,11 @@ namespace {
 using fv::ArithPath;
 using fv::Ciphertext;
 using fv::Plaintext;
+
+const compiler::Circuit kAddCircuit =
+    compiler::singleOpCircuit(compiler::NodeKind::kAdd);
+const compiler::Circuit kMultCircuit =
+    compiler::singleOpCircuit(compiler::NodeKind::kMult);
 
 /** One randomized key/encryptor universe over a small ring. */
 struct Universe
@@ -78,30 +81,14 @@ struct Universe
         return p;
     }
 
-    /** Run one op through a fresh coprocessor (the hardware path). */
-    Ciphertext
-    runHw(hw::OpPlan::Kind kind, const Ciphertext &x,
-          const Ciphertext &y) const
-    {
-        hw::Coprocessor cp(params, config, &rlk);
-        hw::OpPlan plan = kind == hw::OpPlan::Kind::kAdd
-                              ? hw::makeAddPlan(cp)
-                              : hw::makeMultPlan(cp);
-        hw::uploadPlanInputs(cp, plan, {&x[0], &x[1]}, {&y[0], &y[1]});
-        cp.execute(plan.program);
-        Ciphertext out;
-        out.polys.push_back(cp.downloadPoly(plan.program.outputs[0]));
-        out.polys.push_back(cp.downloadPoly(plan.program.outputs[1]));
-        return out;
-    }
-
     /**
-     * Run one single-node circuit through the hardware compiler path
-     * (the only hw lowering of Sub/Negate/AddPlain/MultPlain/Square).
+     * Run one single-node circuit through the hardware compiler path —
+     * the hardware lowering of every operation, and what the serving
+     * layer runs for a single Add or Mult (compiler::singleOpCircuit).
      */
     std::vector<Ciphertext>
     runHwCircuit(const compiler::Circuit &circuit,
-                 std::span<const Ciphertext> inputs,
+                 const std::vector<Ciphertext> &inputs,
                  const fv::GaloisKeys *galois_override = nullptr) const
     {
         compiler::CompilerOptions options;
@@ -134,7 +121,7 @@ TEST(Differential, AddBitExactAcrossRandomKeys)
                 u.encryptor->encrypt(u.randomPlain(100 * key_seed + i));
             Ciphertext y =
                 u.encryptor->encrypt(u.randomPlain(200 * key_seed + i));
-            Ciphertext hw = u.runHw(hw::OpPlan::Kind::kAdd, x, y);
+            Ciphertext hw = u.runHwCircuit(kAddCircuit, {x, y})[0];
             Ciphertext sw = u.evaluator->add(x, y);
             EXPECT_EQ(hw, sw) << "key seed " << key_seed << " draw " << i;
             EXPECT_EQ(u.decryptor->decrypt(hw), u.decryptor->decrypt(sw));
@@ -151,7 +138,7 @@ TEST(Differential, MultBitExactAcrossRandomKeys)
                 u.encryptor->encrypt(u.randomPlain(300 * key_seed + i));
             Ciphertext y =
                 u.encryptor->encrypt(u.randomPlain(400 * key_seed + i));
-            Ciphertext hw = u.runHw(hw::OpPlan::Kind::kMult, x, y);
+            Ciphertext hw = u.runHwCircuit(kMultCircuit, {x, y})[0];
             Ciphertext sw = u.evaluator->multiply(x, y, u.rlk);
             EXPECT_EQ(hw, sw) << "key seed " << key_seed << " draw " << i;
             EXPECT_EQ(u.decryptor->decrypt(hw), u.decryptor->decrypt(sw));
@@ -173,7 +160,7 @@ TEST(Differential, RelinearizationMatchesSoftwarePath)
     u.evaluator->relinearizeInPlace(staged, u.rlk);
     ASSERT_EQ(staged.size(), 2u);
 
-    Ciphertext hw = u.runHw(hw::OpPlan::Kind::kMult, x, y);
+    Ciphertext hw = u.runHwCircuit(kMultCircuit, {x, y})[0];
     EXPECT_EQ(hw, staged);
     EXPECT_EQ(u.decryptor->decrypt(hw), before_relin);
 }
@@ -183,7 +170,7 @@ TEST(Differential, LargerPlainModulusStaysBitExact)
     Universe u(41, /*t=*/65537);
     Ciphertext x = u.encryptor->encrypt(u.randomPlain(7));
     Ciphertext y = u.encryptor->encrypt(u.randomPlain(8));
-    Ciphertext hw = u.runHw(hw::OpPlan::Kind::kMult, x, y);
+    Ciphertext hw = u.runHwCircuit(kMultCircuit, {x, y})[0];
     EXPECT_EQ(hw, u.evaluator->multiply(x, y, u.rlk));
 }
 
@@ -196,7 +183,7 @@ TEST(Differential, ExactCrtOracleDecryptsIdentically)
     fv::Evaluator exact(u.params, ArithPath::kExactCrt);
     Ciphertext x = u.encryptor->encrypt(u.randomPlain(9));
     Ciphertext y = u.encryptor->encrypt(u.randomPlain(10));
-    Ciphertext hw = u.runHw(hw::OpPlan::Kind::kMult, x, y);
+    Ciphertext hw = u.runHwCircuit(kMultCircuit, {x, y})[0];
     Ciphertext oracle = exact.multiply(x, y, u.rlk);
     EXPECT_EQ(u.decryptor->decrypt(hw), u.decryptor->decrypt(oracle));
 }

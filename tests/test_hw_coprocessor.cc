@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "common/panic.h"
+#include "compiler/compiler.h"
 #include "fv/decryptor.h"
 #include "fv/encryptor.h"
 #include "fv/evaluator.h"
@@ -72,6 +73,31 @@ struct SmallRig
     std::unique_ptr<fv::Evaluator> evaluator;
     HwConfig config;
 };
+
+/** FV.Mult with relinearization over operand slots @p a and @p b of
+ *  @p cp's memory file (consumed); outputs {c0, c1}. */
+Program
+emitMult(Coprocessor &cp, std::array<PolyId, 2> a, std::array<PolyId, 2> b)
+{
+    Program p;
+    OpEmitter emitter(cp.params(), cp.memory(), p);
+    const OpEmitter::MultResult tensor =
+        emitter.emitMult(a, b, /*consume_a=*/true, /*consume_b=*/true,
+                         /*want_digits=*/true, /*want_c2=*/false);
+    const std::array<PolyId, 2> out =
+        emitter.emitRelin(tensor.ct[0], tensor.ct[1], tensor.digits);
+    p.outputs = {out[0], out[1]};
+    return p;
+}
+
+/** The one-node Mult circuit compiled for the paper configuration. */
+compiler::CompiledCircuit
+compiledPaperMult()
+{
+    return compiler::compileCircuit(
+        fv::FvParams::paper(),
+        compiler::singleOpCircuit(compiler::NodeKind::kMult));
+}
 
 TEST(MemoryFile, AllocationAccounting)
 {
@@ -151,18 +177,13 @@ TEST(MemoryFile, ImportExportRoundTrip)
     EXPECT_EQ(mem.exportPoly(id).data(), poly.data());
 }
 
-TEST(ProgramBuilder, MultMatchesTableIIInstructionMix)
+TEST(CompiledMult, MatchesTableIIInstructionMix)
 {
-    auto params = fv::FvParams::paper();
-    Coprocessor cp(params, HwConfig::paper());
-    ntt::RnsPoly zero(params->qBase(), params->degree());
-    std::array<PolyId, 2> a{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    std::array<PolyId, 2> b{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    ProgramBuilder builder(cp);
-    Program p = builder.buildMult(a, b);
+    const compiler::CompiledCircuit mult = compiledPaperMult();
+    ASSERT_EQ(mult.segments.size(), 1u);
 
     std::map<Opcode, int> counts;
-    for (const auto &i : p.instrs)
+    for (const auto &i : mult.segments[0].program.instrs)
         ++counts[i.op];
     // Table II call counts (CoeffAdd: we schedule 14, the paper lists 26).
     EXPECT_EQ(counts[Opcode::kNtt], 14);
@@ -175,18 +196,14 @@ TEST(ProgramBuilder, MultMatchesTableIIInstructionMix)
     EXPECT_EQ(counts[Opcode::kKeyLoad], 6);
 }
 
-TEST(ProgramBuilder, MultFitsTheMemoryFile)
+TEST(CompiledMult, FitsTheMemoryFile)
 {
-    auto params = fv::FvParams::paper();
-    Coprocessor cp(params, HwConfig::paper());
-    ntt::RnsPoly zero(params->qBase(), params->degree());
-    std::array<PolyId, 2> a{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    std::array<PolyId, 2> b{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    ProgramBuilder builder(cp);
-    builder.buildMult(a, b);
-    // Peak pressure must fit the 84-slot budget of Table IV.
-    EXPECT_LE(cp.memory().peakSlots(), cp.memory().capacity());
-    EXPECT_GE(cp.memory().peakSlots(), 70u); // and genuinely tight
+    const compiler::CompiledCircuit mult = compiledPaperMult();
+    // Peak pressure must fit the 84-slot budget of Table IV without
+    // spilling.
+    EXPECT_EQ(mult.spilled_polys, 0u);
+    EXPECT_LE(mult.peak_slots, mult.hw.n_rpaus * mult.hw.slots_per_rpau);
+    EXPECT_GE(mult.peak_slots, 70u); // and genuinely tight
 }
 
 TEST(CoprocessorFunctional, AddMatchesEvaluator)
@@ -198,13 +215,14 @@ TEST(CoprocessorFunctional, AddMatchesEvaluator)
     Coprocessor cp(rig.params, rig.config, &rig.rlk);
     std::array<PolyId, 2> a{cp.uploadPoly(x[0]), cp.uploadPoly(x[1])};
     std::array<PolyId, 2> b{cp.uploadPoly(y[0]), cp.uploadPoly(y[1])};
-    ProgramBuilder builder(cp);
-    Program p = builder.buildAdd(a, b);
+    Program p;
+    OpEmitter emitter(cp.params(), cp.memory(), p);
+    const std::array<PolyId, 2> sum = emitter.emitAdd(a, b);
     cp.execute(p);
 
     Ciphertext expect = rig.evaluator->add(x, y);
-    EXPECT_EQ(cp.downloadPoly(p.outputs[0]).data(), expect[0].data());
-    EXPECT_EQ(cp.downloadPoly(p.outputs[1]).data(), expect[1].data());
+    EXPECT_EQ(cp.downloadPoly(sum[0]).data(), expect[0].data());
+    EXPECT_EQ(cp.downloadPoly(sum[1]).data(), expect[1].data());
 }
 
 TEST(CoprocessorFunctional, MultBitExactAgainstEvaluator)
@@ -219,8 +237,7 @@ TEST(CoprocessorFunctional, MultBitExactAgainstEvaluator)
     Coprocessor cp(rig.params, rig.config, &rig.rlk);
     std::array<PolyId, 2> a{cp.uploadPoly(x[0]), cp.uploadPoly(x[1])};
     std::array<PolyId, 2> b{cp.uploadPoly(y[0]), cp.uploadPoly(y[1])};
-    ProgramBuilder builder(cp);
-    Program p = builder.buildMult(a, b);
+    Program p = emitMult(cp, a, b);
     cp.execute(p);
 
     Ciphertext expect = rig.evaluator->multiply(x, y, rig.rlk);
@@ -239,8 +256,7 @@ TEST(CoprocessorFunctional, MultDecryptsToProduct)
     Coprocessor cp(rig.params, rig.config, &rig.rlk);
     std::array<PolyId, 2> a{cp.uploadPoly(x[0]), cp.uploadPoly(x[1])};
     std::array<PolyId, 2> b{cp.uploadPoly(y[0]), cp.uploadPoly(y[1])};
-    ProgramBuilder builder(cp);
-    Program p = builder.buildMult(a, b);
+    Program p = emitMult(cp, a, b);
     cp.execute(p);
 
     Ciphertext hw_ct;
@@ -276,8 +292,7 @@ TEST(CoprocessorFunctional, ProgramReusableAcrossRuns)
     ntt::RnsPoly zero(rig.params->qBase(), rig.params->degree());
     std::array<PolyId, 2> a{cp.uploadPoly(zero), cp.uploadPoly(zero)};
     std::array<PolyId, 2> b{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    ProgramBuilder builder(cp);
-    Program p = builder.buildMult(a, b);
+    Program p = emitMult(cp, a, b);
 
     for (uint64_t round = 0; round < 2; ++round) {
         Ciphertext x = rig.encryptor->encrypt(rig.somePlain(10 + round));
@@ -325,8 +340,7 @@ TEST(CoprocessorTiming, MultMatchesTableI)
     ntt::RnsPoly zero(params->qBase(), params->degree());
     std::array<PolyId, 2> a{cp.uploadPoly(zero), cp.uploadPoly(zero)};
     std::array<PolyId, 2> b{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    ProgramBuilder builder(cp);
-    Program p = builder.buildMult(a, b);
+    Program p = emitMult(cp, a, b);
 
     double total_us = 0.0;
     for (const auto &i : p.instrs) {

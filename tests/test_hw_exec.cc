@@ -318,8 +318,14 @@ TEST(HwExec, ProgramListingCoversAllInstructions)
                             rig.cp->uploadPoly(zero)};
     std::array<PolyId, 2> b{rig.cp->uploadPoly(zero),
                             rig.cp->uploadPoly(zero)};
-    ProgramBuilder builder(*rig.cp);
-    Program p = builder.buildMult(a, b);
+    Program p;
+    OpEmitter emitter(*rig.params, rig.cp->memory(), p);
+    const OpEmitter::MultResult tensor =
+        emitter.emitMult(a, b, /*consume_a=*/true, /*consume_b=*/true,
+                         /*want_digits=*/true, /*want_c2=*/false);
+    const std::array<PolyId, 2> out =
+        emitter.emitRelin(tensor.ct[0], tensor.ct[1], tensor.digits);
+    p.outputs = {out[0], out[1]};
     std::string listing = p.listing();
     // One line per instruction plus the outputs line.
     size_t lines = std::count(listing.begin(), listing.end(), '\n');

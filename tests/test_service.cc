@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the asynchronous execution service: plan value semantics
- * (a program built on one coprocessor dispatches to any other),
+ * Tests of the asynchronous execution service: compiled single-op
+ * value semantics (a program compiled once runs on any coprocessor),
  * concurrent multi-client submission across worker-pool sizes with
  * deterministic bit-exact results, operand validation, statistics
  * accounting, and the shutdown-while-queued regression (cancelled
@@ -24,7 +24,6 @@
 #include "fv/keygen.h"
 #include "fv/params.h"
 #include "hw/coprocessor.h"
-#include "hw/program_builder.h"
 #include "service/service.h"
 #include "verify_support.h"
 
@@ -82,40 +81,57 @@ struct ServiceRig
     hw::HwConfig hw;
 };
 
-TEST(OpPlan, IsAValueDispatchableToAnyCoprocessor)
+TEST(SingleOpCircuit, IsAValueDispatchableToAnyCoprocessor)
 {
     ServiceRig rig;
-    // Plans built on two independent fresh coprocessors are identical
-    // values: allocation inside the memory file is deterministic.
-    hw::Coprocessor cp1(rig.params, rig.hw, &rig.rlk);
-    hw::Coprocessor cp2(rig.params, rig.hw, &rig.rlk);
-    hw::OpPlan plan1 = hw::makeMultPlan(cp1);
-    hw::OpPlan plan2 = hw::makeMultPlan(cp2);
-    EXPECT_EQ(plan1, plan2);
+    // Compiling the one-node Mult twice yields identical programs and
+    // slot schedules: allocation is deterministic accounting.
+    compiler::CompilerOptions copts;
+    copts.hw = rig.hw;
+    const compiler::Circuit mult =
+        compiler::singleOpCircuit(compiler::NodeKind::kMult);
+    const compiler::CompiledCircuit c1 =
+        compiler::compileCircuit(rig.params, mult, copts);
+    const compiler::CompiledCircuit c2 =
+        compiler::compileCircuit(rig.params, mult, copts);
+    ASSERT_EQ(c1.segments.size(), 1u);
+    ASSERT_EQ(c2.segments.size(), 1u);
+    EXPECT_EQ(c1.segments[0].program, c2.segments[0].program);
+    EXPECT_EQ(c1.slot_actions, c2.slot_actions);
 
-    // A plan built elsewhere executes on a third coprocessor after its
-    // slots are replayed there.
+    // The compiled value runs on any coprocessor, including one that
+    // already ran a different program: the run replays its slots.
     fv::Encryptor encryptor(rig.params, rig.pk, 7);
-    Ciphertext x = encryptor.encrypt(rig.randomPlain(1));
-    Ciphertext y = encryptor.encrypt(rig.randomPlain(2));
-    hw::Coprocessor cp3(rig.params, rig.hw, &rig.rlk);
-    hw::preparePlanSlots(cp3, plan1);
-    hw::uploadPlanInputs(cp3, plan1, {&x[0], &x[1]}, {&y[0], &y[1]});
-    cp3.execute(plan1.program);
-    Ciphertext out;
-    out.polys.push_back(cp3.downloadPoly(plan1.program.outputs[0]));
-    out.polys.push_back(cp3.downloadPoly(plan1.program.outputs[1]));
-    EXPECT_EQ(out, rig.evaluator->multiply(x, y, rig.rlk));
+    const std::vector<Ciphertext> in = {
+        encryptor.encrypt(rig.randomPlain(1)),
+        encryptor.encrypt(rig.randomPlain(2))};
+    hw::Coprocessor cp(rig.params, rig.hw, &rig.rlk);
+    compiler::runCompiledCircuit(
+        cp,
+        compiler::compileCircuit(
+            rig.params, compiler::singleOpCircuit(compiler::NodeKind::kAdd),
+            copts),
+        in);
+    const std::vector<Ciphertext> out =
+        compiler::runCompiledCircuit(cp, c1, in);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0], rig.evaluator->multiply(in[0], in[1], rig.rlk));
 }
 
-TEST(OpPlan, ReplayOnDirtyCoprocessorPanics)
+TEST(SlotReplay, OnANonResetCoprocessorPanics)
 {
     ServiceRig rig;
+    compiler::CompilerOptions copts;
+    copts.hw = rig.hw;
+    const compiler::CompiledCircuit add = compiler::compileCircuit(
+        rig.params, compiler::singleOpCircuit(compiler::NodeKind::kAdd),
+        copts);
     hw::Coprocessor cp(rig.params, rig.hw, &rig.rlk);
-    hw::OpPlan plan = hw::makeAddPlan(cp);
-    // cp already hosts the plan: replaying on the non-fresh memory
+    hw::replaySlotActions(cp.memory(), add.slot_actions);
+    // cp already holds the schedule: replaying on the non-reset memory
     // file must be rejected, not silently misbind slots.
-    EXPECT_THROW(hw::preparePlanSlots(cp, plan), PanicError);
+    EXPECT_THROW(hw::replaySlotActions(cp.memory(), add.slot_actions),
+                 PanicError);
 }
 
 /** Client workload: submit pairs, remember the evaluator's answers. */
@@ -375,6 +391,70 @@ TEST(Service, BatchingAmortisesModeledDispatch)
         makespan[idx++] = svc.stats().makespan_us;
     }
     EXPECT_LT(makespan[1], makespan[0]);
+}
+
+TEST(Service, ModeledClockOfMixedSingleOpsAndCircuitsIsPinned)
+{
+    // Paper parameters, one worker, everything queued before the first
+    // dequeue: Mult, Add, Add, a one-node compiled Add, Add, Mult. The
+    // modeled cost must not depend on how single ops are lowered:
+    // per-instruction dispatch (Add 5120, Mult 645740 cycles), a fused
+    // one-node circuit (4620), 911.424 us of key DMA per Mult and
+    // 539.712 us of host transfer per job. At max_batch 8 the batch
+    // runs Adds, Mults, then the circuit; every per-instruction run
+    // after the first overlaps its dispatch (2 Adds x 1000 + 2 Mults x
+    // 45500 cycles = 465 us), and a fused circuit restarts the stream.
+    auto params = fv::FvParams::paper();
+    fv::KeyGenerator keygen(params, 5);
+    const fv::SecretKey sk = keygen.generateSecretKey();
+    const fv::RelinKeys rlk = keygen.generateRelinKeys(sk);
+    fv::Encryptor encryptor(params, keygen.generatePublicKey(sk), 6);
+    const Ciphertext x = encryptor.encrypt(Plaintext{});
+    const Ciphertext y = encryptor.encrypt(Plaintext{});
+
+    compiler::CircuitBuilder b;
+    const compiler::ValueId in0 = b.input();
+    b.output(b.add(in0, b.input()));
+    compiler::CompilerOptions copts;
+    copts.hw = hw::HwConfig::paper();
+    auto add_circuit = std::make_shared<const compiler::CompiledCircuit>(
+        compiler::compileCircuit(params, b.build(), copts));
+
+    for (const auto &[max_batch, makespan_us] :
+         {std::pair<size_t, double>{1, 11618.42},
+          std::pair<size_t, double>{8, 11153.42}}) {
+        ServiceConfig cfg;
+        cfg.workers = 1;
+        cfg.max_batch = max_batch;
+        cfg.start_paused = true;
+        cfg.verify = compiler::VerifyCheck::kReject;
+        ExecutionService svc(params, rlk, cfg);
+        std::vector<std::future<Ciphertext>> ops;
+        ops.push_back(svc.submit(Op::kMult, x, y));
+        ops.push_back(svc.submit(Op::kAdd, x, y));
+        ops.push_back(svc.submit(Op::kAdd, x, y));
+        auto circuit = svc.submitCompiled(add_circuit, {x, y});
+        ops.push_back(svc.submit(Op::kAdd, x, y));
+        ops.push_back(svc.submit(Op::kMult, x, y));
+        svc.start();
+        for (auto &f : ops)
+            f.get();
+        circuit.get();
+        svc.drain();
+
+        const ServiceStats st = svc.stats();
+        EXPECT_EQ(st.fpga_cycles, 1311460u) << "max_batch " << max_batch;
+        EXPECT_NEAR(st.dma_us, 1822.848, 1e-6);
+        EXPECT_NEAR(st.host_us, 3238.272, 1e-6);
+        EXPECT_NEAR(st.makespan_us, makespan_us, 1e-6)
+            << "max_batch " << max_batch;
+        // Single ops are ops, not circuits, and are never counted by
+        // admission verification; the submitted circuit is.
+        EXPECT_EQ(st.ops_completed, 5u);
+        EXPECT_EQ(st.circuits_completed, 1u);
+        EXPECT_EQ(st.circuit_nodes_completed, 1u);
+        EXPECT_EQ(st.circuits_verified, 1u);
+    }
 }
 
 TEST(Service, MultiTenantKeySetsStayIsolated)

@@ -5,7 +5,7 @@
 #include "common/panic.h"
 #include "hw/dma.h"
 #include "hw/lift_unit.h"
-#include "hw/rpau.h"
+#include "hw/ntt_engine.h"
 #include "hw/scale_unit.h"
 
 namespace heat::compiler {
@@ -39,11 +39,10 @@ attributeCompiledCircuit(const CompiledCircuit &compiled)
 
     // The same block models the coprocessor charges from; all cheap to
     // construct (they hold parameters, not state).
-    const hw::Rpau rpau(0, config, params.degree());
+    const hw::NttEngine engine(config, params.degree());
     const hw::LiftUnit lift(compiled.params, config);
     const hw::ScaleUnit scale(compiled.params, config);
     const hw::DmaModel dma(config);
-    const hw::NttEngine &engine = rpau.nttEngine();
     const auto levels = recordLevels(compiled);
     const auto levelOf = [&](hw::PolyId id) -> size_t {
         const auto it = levels.find(id);
@@ -62,7 +61,7 @@ attributeCompiledCircuit(const CompiledCircuit &compiled)
           case hw::Opcode::kCoeffMul:
           case hw::Opcode::kCoeffAdd:
           case hw::Opcode::kCoeffSub:
-            return rpau.coeffUnit().cycles(params.degree());
+            return engine.coeffOpCycles();
           case hw::Opcode::kRearrange:
             return engine.rearrangeCycles();
           case hw::Opcode::kAutomorph:

@@ -3,23 +3,9 @@
 #include <algorithm>
 
 #include "common/panic.h"
-#include "common/parallel.h"
 #include "obs/trace.h"
-#include "simd/simd.h"
 
 namespace heat::fv {
-
-namespace {
-
-/**
- * Coefficient-block size for the lift/scale batch kernels: large
- * enough to amortize the per-call scratch rows and constant setup,
- * small enough that the blocks of a single residue row stay cache
- * resident across the sop128 passes.
- */
-constexpr size_t kCoeffGrain = 512;
-
-} // namespace
 
 Evaluator::Evaluator(std::shared_ptr<const FvParams> params, ArithPath path)
     : params_(std::move(params)), path_(path)
@@ -133,41 +119,14 @@ Evaluator::liftToFull(const ntt::RnsPoly &q_poly) const
             "lift requires coefficient form");
     const size_t n = params_->degree();
     const size_t level = levelOf(q_poly);
-    const auto &conv = params_->liftConverter(level);
-    const size_t kq = q_poly.residueCount();
-    const size_t kp = params_->pBase()->size();
 
+    // q residues are unchanged by the centered lift (x == x - q mod
+    // q_i); the p residues follow them.
     ntt::RnsPoly out(params_->fullBase(level), n, ntt::PolyForm::kCoeff);
-    if (path_ == ArithPath::kHps) {
-        parallelFor(n, kCoeffGrain, [&](size_t begin, size_t end) {
-            // q residues are unchanged by the centered lift (x == x - q
-            // mod q_i); the p residues come from the batch converter.
-            std::vector<const uint64_t *> in_rows(kq);
-            std::vector<uint64_t *> out_rows(kp);
-            for (size_t i = 0; i < kq; ++i) {
-                auto src = q_poly.residue(i);
-                std::copy(src.begin() + begin, src.begin() + end,
-                          out.residue(i).begin() + begin);
-                in_rows[i] = src.data() + begin;
-            }
-            for (size_t i = 0; i < kp; ++i)
-                out_rows[i] = out.residue(kq + i).data() + begin;
-            conv.convertBatch(in_rows.data(), out_rows.data(),
-                              end - begin);
-        });
-        return out;
-    }
-    parallelFor(n, kCoeffGrain, [&](size_t begin, size_t end) {
-        std::vector<uint64_t> in(kq), ext(kp);
-        for (size_t j = begin; j < end; ++j) {
-            q_poly.gatherCoefficient(j, in);
-            conv.convertExact(in, ext);
-            for (size_t i = 0; i < kq; ++i)
-                out.residue(i)[j] = in[i];
-            for (size_t i = 0; i < kp; ++i)
-                out.residue(kq + i)[j] = ext[i];
-        }
-    });
+    std::copy(q_poly.data().begin(), q_poly.data().end(),
+              out.data().begin());
+    liftRows(*params_, level, path_, q_poly.data().data(),
+             out.data().data() + q_poly.data().size());
     return out;
 }
 
@@ -176,48 +135,12 @@ Evaluator::scaleToQ(const ntt::RnsPoly &full_poly) const
 {
     panicIf(full_poly.form() != ntt::PolyForm::kCoeff,
             "scale requires coefficient form");
-    const size_t n = params_->degree();
-    const size_t kp = params_->pBase()->size();
     const size_t level =
         params_->levelForResidueCount(full_poly.residueCount());
-    const auto &scaler = params_->scaler(level);
-    const auto &back = params_->scaleBackConverter(level);
-    const size_t kq = full_poly.residueCount() - kp;
-
-    ntt::RnsPoly out(params_->qBase(level), n, ntt::PolyForm::kCoeff);
-    if (path_ == ArithPath::kHps) {
-        parallelFor(n, kCoeffGrain, [&](size_t begin, size_t end) {
-            const size_t len = end - begin;
-            std::vector<const uint64_t *> in_rows(kq + kp);
-            for (size_t i = 0; i < kq + kp; ++i)
-                in_rows[i] = full_poly.residue(i).data() + begin;
-            // Scratch rows for the intermediate p-base result of the
-            // scale, consumed directly by the back-conversion.
-            std::vector<uint64_t> mid(kp * len);
-            std::vector<uint64_t *> mid_rows(kp);
-            std::vector<const uint64_t *> mid_rows_const(kp);
-            for (size_t i = 0; i < kp; ++i) {
-                mid_rows[i] = mid.data() + i * len;
-                mid_rows_const[i] = mid_rows[i];
-            }
-            std::vector<uint64_t *> out_rows(kq);
-            for (size_t i = 0; i < kq; ++i)
-                out_rows[i] = out.residue(i).data() + begin;
-            scaler.scaleBatch(in_rows.data(), mid_rows.data(), len);
-            back.convertBatch(mid_rows_const.data(), out_rows.data(),
-                              len);
-        });
-        return out;
-    }
-    parallelFor(n, kCoeffGrain, [&](size_t begin, size_t end) {
-        std::vector<uint64_t> in(kq + kp), mid(kp), res(kq);
-        for (size_t j = begin; j < end; ++j) {
-            full_poly.gatherCoefficient(j, in);
-            scaler.scaleExact(in, mid);
-            back.convertExact(mid, res);
-            out.scatterCoefficient(j, res);
-        }
-    });
+    ntt::RnsPoly out(params_->qBase(level), params_->degree(),
+                     ntt::PolyForm::kCoeff);
+    scaleRows(*params_, level, path_, full_poly.data().data(),
+              out.data().data());
     return out;
 }
 
@@ -268,23 +191,16 @@ Evaluator::rnsDigits(const ntt::RnsPoly &poly) const
 {
     panicIf(poly.form() != ntt::PolyForm::kCoeff,
             "digit decomposition requires coefficient form");
-    const auto &base = params_->qBase(levelOf(poly));
+    const size_t level = levelOf(poly);
+    const auto &base = params_->qBase(level);
     const size_t k = base->size();
     const size_t n = params_->degree();
 
-    // Digit i broadcasts residue polynomial i to every channel; values
-    // are < 2^30, so reduction mod the other primes is at most one
-    // conditional subtraction — the paper's "cheap bit manipulation".
-    const simd::Kernels &kern = simd::active();
     std::vector<ntt::RnsPoly> digits;
     digits.reserve(k);
     for (size_t i = 0; i < k; ++i) {
         ntt::RnsPoly d(base, n, ntt::PolyForm::kCoeff);
-        auto src = poly.residue(i);
-        parallelFor(k, [&](size_t c) {
-            kern.reduce_u32(d.residue(c).data(), src.data(), n,
-                            base->modulus(c));
-        });
+        digitRows(*params_, level, poly.residue(i).data(), d.data().data());
         digits.push_back(std::move(d));
     }
     return digits;
@@ -420,39 +336,10 @@ Evaluator::modSwitchPoly(const ntt::RnsPoly &poly, size_t from_level) const
             "cannot mod-switch past the last level");
     panicIf(levelOf(poly) != from_level,
             "polynomial residue count does not match from_level");
-    const size_t n = params_->degree();
-    const size_t live = params_->qPrimeCount(from_level);
-    const auto &rounder = params_->modSwitchRounder(from_level);
-
-    ntt::RnsPoly out(params_->qBase(from_level + 1), n,
+    ntt::RnsPoly out(params_->qBase(from_level + 1), params_->degree(),
                      ntt::PolyForm::kCoeff);
-    if (path_ == ArithPath::kHps) {
-        parallelFor(n, kCoeffGrain, [&](size_t begin, size_t end) {
-            // ScaleRounder input order: dropped-prime residue first
-            // (its "q" base), then the surviving residues (its "p").
-            std::vector<const uint64_t *> in_rows(live);
-            in_rows[0] = poly.residue(live - 1).data() + begin;
-            for (size_t i = 0; i + 1 < live; ++i)
-                in_rows[i + 1] = poly.residue(i).data() + begin;
-            std::vector<uint64_t *> out_rows(live - 1);
-            for (size_t i = 0; i + 1 < live; ++i)
-                out_rows[i] = out.residue(i).data() + begin;
-            rounder.scaleBatch(in_rows.data(), out_rows.data(),
-                               end - begin);
-        });
-        return out;
-    }
-    parallelFor(n, kCoeffGrain, [&](size_t begin, size_t end) {
-        std::vector<uint64_t> res(live), in(live), next(live - 1);
-        for (size_t j = begin; j < end; ++j) {
-            poly.gatherCoefficient(j, res);
-            in[0] = res[live - 1];
-            for (size_t i = 0; i + 1 < live; ++i)
-                in[i + 1] = res[i];
-            rounder.scaleExact(in, next);
-            out.scatterCoefficient(j, next);
-        }
-    });
+    modSwitchRows(*params_, from_level, path_, poly.data().data(),
+                  out.data().data());
     return out;
 }
 

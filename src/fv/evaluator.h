@@ -30,18 +30,12 @@
 #include <memory>
 #include <vector>
 
+#include "fv/arith.h"
 #include "fv/galois.h"
 #include "fv/keys.h"
 #include "fv/params.h"
 
 namespace heat::fv {
-
-/** Which Lift/Scale arithmetic the evaluator uses. */
-enum class ArithPath
-{
-    kHps,      ///< approximate-CRT small-integer arithmetic (fast)
-    kExactCrt, ///< exact BigInt CRT arithmetic (traditional baseline)
-};
 
 /** Computes on ciphertexts. */
 class Evaluator

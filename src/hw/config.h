@@ -14,17 +14,12 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "fv/arith.h"
+
 namespace heat::hw {
 
 /** Cycle count in the FPGA clock domain. */
 using Cycle = uint64_t;
-
-/** Which Lift/Scale architecture a coprocessor instantiates. */
-enum class LiftScaleArch
-{
-    kHps,        ///< small-integer HPS datapath (Sec. V-B2/V-C, faster)
-    kTraditional ///< multi-precision CRT datapath (Sec. V-B1, slower)
-};
 
 /** Tunable parameters of the coprocessor model. */
 struct HwConfig
@@ -43,8 +38,10 @@ struct HwConfig
     size_t lift_scale_cores = 2;
     /** Residue-polynomial slots per RPAU in the on-chip memory file. */
     size_t slots_per_rpau = 12;
-    /** Lift/Scale architecture. */
-    LiftScaleArch lift_scale_arch = LiftScaleArch::kHps;
+    /** Lift/Scale architecture: the small-integer HPS datapath
+     *  (Sec. V-B2/V-C, kHps) or the multi-precision CRT datapath
+     *  (Sec. V-B1, kExactCrt). */
+    fv::ArithPath lift_scale_arch = fv::ArithPath::kHps;
 
     // --- microarchitecture (calibrated) -----------------------------------
     /** Butterfly pipeline depth: multiplier + reducer + add/sub stages. */
@@ -101,7 +98,7 @@ struct HwConfig
     {
         HwConfig config;
         config.fpga_clock_hz = 225e6;
-        config.lift_scale_arch = LiftScaleArch::kTraditional;
+        config.lift_scale_arch = fv::ArithPath::kExactCrt;
         config.lift_scale_cores = 4;
         return config;
     }

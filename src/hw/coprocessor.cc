@@ -1,13 +1,15 @@
 #include "hw/coprocessor.h"
 
 #include <algorithm>
-
 #include <string>
 
 #include "common/panic.h"
+#include "fv/arith.h"
 #include "fv/galois.h"
+#include "hw/rpau.h"
 #include "ntt/ntt.h"
 #include "obs/trace.h"
+#include "simd/simd.h"
 
 namespace heat::hw {
 
@@ -17,6 +19,7 @@ Coprocessor::Coprocessor(std::shared_ptr<const fv::FvParams> params,
     : params_(params),
       config_(config),
       memory_(params, config),
+      engine_(config, params_->degree()),
       lift_unit_(params, config),
       scale_unit_(params, config),
       dma_(config),
@@ -26,9 +29,6 @@ Coprocessor::Coprocessor(std::shared_ptr<const fv::FvParams> params,
     fatalIf(config.n_rpaus <
                 (params_->fullBase()->size() + 1) / 2,
             "too few RPAUs for the RNS base (need ceil(k/2))");
-    rpaus_.reserve(config.n_rpaus);
-    for (size_t i = 0; i < config.n_rpaus; ++i)
-        rpaus_.emplace_back(i, config, params_->degree());
 }
 
 PolyId
@@ -71,20 +71,19 @@ Coprocessor::instructionComputeCycles(const Instruction &instr) const
     // Per-instruction NTT/coefficient costs are batch-width-independent
     // (the residues run on parallel RPAUs), so levels only shrink the
     // serial Lift/Scale input chains — see the unit cycle models.
-    const NttEngine &engine = rpaus_[0].nttEngine();
     switch (instr.op) {
       case Opcode::kNtt:
-        return engine.forwardCycles();
+        return engine_.forwardCycles();
       case Opcode::kIntt:
-        return engine.inverseCycles();
+        return engine_.inverseCycles();
       case Opcode::kCoeffMul:
       case Opcode::kCoeffAdd:
       case Opcode::kCoeffSub:
-        return rpaus_[0].coeffUnit().cycles(params_->degree());
+        return engine_.coeffOpCycles();
       case Opcode::kRearrange:
-        return engine.rearrangeCycles();
+        return engine_.rearrangeCycles();
       case Opcode::kAutomorph:
-        return engine.automorphCycles();
+        return engine_.automorphCycles();
       case Opcode::kLift:
         return lift_unit_.cycles(memory_.recordLevel(instr.dst));
       case Opcode::kScale:
@@ -269,24 +268,36 @@ Coprocessor::execCoeffOp(const Instruction &instr)
     const auto base = dst.base == BaseTag::kQ
                           ? params_->qBase(dst.level)
                           : params_->fullBase(dst.level);
-    const CoeffUnit &unit = rpaus_[0].coeffUnit();
+    const simd::Kernels &kern = simd::active();
 
     for (size_t k : residuesOfBatch(instr.batch, kq, dst.layout.size())) {
         panicIf(a.layout[k] != b.layout[k],
                 "coeff op operand layout mismatch");
-        std::span<uint64_t> d(dst.data.data() + k * n, n);
-        std::span<const uint64_t> x(a.data.data() + k * n, n);
-        std::span<const uint64_t> y(b.data.data() + k * n, n);
+        uint64_t *d = dst.data.data() + k * n;
+        const uint64_t *x = a.data.data() + k * n;
+        const uint64_t *y = b.data.data() + k * n;
         const rns::Modulus &q = base->modulus(k);
+        // The kernels work in place on their first operand. When dst
+        // already holds y (and not x), fold x in from the other side;
+        // x - y is then -y + x.
+        const bool swapped = d == y && d != x;
+        if (!swapped && d != x)
+            std::copy_n(x, n, d);
+        const uint64_t *rhs = swapped ? x : y;
         switch (instr.op) {
           case Opcode::kCoeffMul:
-            unit.mul(d, x, y, q);
+            kern.mul_mod(d, rhs, n, q);
             break;
           case Opcode::kCoeffAdd:
-            unit.add(d, x, y, q);
+            kern.add_mod(d, rhs, n, q.value());
             break;
           case Opcode::kCoeffSub:
-            unit.sub(d, x, y, q);
+            if (swapped) {
+                kern.negate_mod(d, n, q.value());
+                kern.add_mod(d, rhs, n, q.value());
+            } else {
+                kern.sub_mod(d, rhs, n, q.value());
+            }
             break;
           default:
             panic("not a coeff op");
@@ -385,11 +396,8 @@ Coprocessor::execAutomorph(const Instruction &instr)
         if (instr.extra[d] == kNoPoly)
             continue;
         PolyRecord &dig = memory_.record(instr.extra[d]);
-        for (size_t c = 0; c < kq; ++c) {
-            const rns::Modulus &q_c = base->modulus(c);
-            for (size_t j = 0; j < n; ++j)
-                dig.data[c * n + j] = q_c.reduce(permuted[d * n + j]);
-        }
+        fv::digitRows(*params_, src.level, permuted.data() + d * n,
+                      dig.data.data());
         for (auto &l : dig.layout)
             l = Layout::kNatural;
     }

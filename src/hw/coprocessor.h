@@ -4,10 +4,12 @@
  * cores and the on-chip memory file behind a small instruction set.
  *
  * Execution is functional *and* timed: every instruction updates the
- * memory-file contents through the same arithmetic kernels the software
- * evaluator uses (results are bit-exact against fv::Evaluator's HPS
- * path) and charges a cycle cost derived from the block models
- * (NttEngine, LiftUnit, ScaleUnit, CoeffUnit) plus the Arm dispatch
+ * memory-file contents through the code the software evaluator runs —
+ * the fv/arith.h Lift/Scale/ModSwitch/WordDecomp row drivers and the
+ * heat::simd NTT and dyadic kernels — so results are bit-exact against
+ * fv::Evaluator. Each instruction is charged a cycle cost from the
+ * block models (NttEngine for NTT, rearrange, automorphism and the
+ * coefficient-wise lanes; LiftUnit; ScaleUnit) plus the Arm dispatch
  * overhead. DMA time (relinearization keys) is tracked separately in
  * microseconds of the 250 MHz domain.
  */
@@ -16,7 +18,6 @@
 #define HEAT_HW_COPROCESSOR_H
 
 #include <memory>
-#include <vector>
 
 #include "fv/galois.h"
 #include "fv/keys.h"
@@ -26,7 +27,7 @@
 #include "hw/isa.h"
 #include "hw/lift_unit.h"
 #include "hw/memory_file.h"
-#include "hw/rpau.h"
+#include "hw/ntt_engine.h"
 #include "hw/scale_unit.h"
 
 namespace heat::hw {
@@ -58,9 +59,6 @@ class Coprocessor
     /** @return the memory file. */
     MemoryFile &memory() { return memory_; }
     const MemoryFile &memory() const { return memory_; }
-
-    /** @return RPAU @p i. */
-    const Rpau &rpau(size_t i) const { return rpaus_[i]; }
 
     /** Reprogram: drop all memory-file contents so a different op
      *  schedule can allocate from a clean slate. */
@@ -125,7 +123,7 @@ class Coprocessor
     std::shared_ptr<const fv::FvParams> params_;
     HwConfig config_;
     MemoryFile memory_;
-    std::vector<Rpau> rpaus_;
+    NttEngine engine_;
     LiftUnit lift_unit_;
     ScaleUnit scale_unit_;
     DmaModel dma_;

@@ -1,6 +1,7 @@
 #include "hw/lift_unit.h"
 
 #include "common/panic.h"
+#include "fv/arith.h"
 
 namespace heat::hw {
 
@@ -17,7 +18,6 @@ LiftUnit::run(MemoryFile &memory, PolyId id) const
     const size_t level = memory.record(id).level;
     const size_t kq = params_->qPrimeCount(level);
     const size_t kp = params_->pBase()->size();
-    const auto &conv = params_->liftConverter(level);
 
     // OpEmitter::emitMult/emitSquare pre-extend the record at build
     // time (static slot accounting); a standalone caller may pass a
@@ -30,17 +30,8 @@ LiftUnit::run(MemoryFile &memory, PolyId id) const
                 "lift input must be natural order");
     }
 
-    std::vector<uint64_t> in(kq), out(kp);
-    for (size_t j = 0; j < n; ++j) {
-        for (size_t i = 0; i < kq; ++i)
-            in[i] = full.data[i * n + j];
-        if (config_.lift_scale_arch == LiftScaleArch::kHps)
-            conv.convert(in, out);
-        else
-            conv.convertExact(in, out);
-        for (size_t i = 0; i < kp; ++i)
-            full.data[(kq + i) * n + j] = out[i];
-    }
+    fv::liftRows(*params_, level, config_.lift_scale_arch,
+                 full.data.data(), full.data.data() + kq * n);
     for (size_t i = 0; i < kp; ++i)
         full.layout[kq + i] = Layout::kNatural;
 }
@@ -50,7 +41,7 @@ LiftUnit::cycles(size_t level) const
 {
     const size_t n = params_->degree();
     const size_t cores = config_.lift_scale_cores;
-    const int beat = config_.lift_scale_arch == LiftScaleArch::kHps
+    const int beat = config_.lift_scale_arch == fv::ArithPath::kHps
                          ? config_.lift_beat
                          : config_.trad_lift_beat;
     // The Block-1/Block-5 sequential chains iterate over the live input

@@ -11,9 +11,10 @@
  *
  * The slowest block sets the pipeline beat: 7 cycles per coefficient
  * plus one streaming handoff (lift_beat = 8). Two cores split the
- * coefficients. Functionally the unit *is* rns::FastBaseConverter — the
- * software evaluator and the hardware model share the arithmetic, so
- * golden comparisons are bit-exact.
+ * coefficients. Functionally the unit runs fv::liftRows on the record's
+ * rows — the call fv::Evaluator::liftToFull makes — so golden
+ * comparisons are bit-exact; HwConfig::lift_scale_arch picks the HPS
+ * or the exact-CRT arithmetic and the matching beat.
  */
 
 #ifndef HEAT_HW_LIFT_UNIT_H

@@ -9,6 +9,11 @@
  * two conditional subtractions. Functionally it is exactly
  * Modulus::slidingWindowReduce; this class adds the latency/occupancy
  * model the butterfly pipeline and the resource model consume.
+ *
+ * The simulator does not reduce through this circuit: coefficient-wise
+ * multiplications run the heat::simd mul_mod kernels, which produce the
+ * same canonical residues. The reducer stays as the modeled datapath
+ * and as the test oracle those kernels are checked against.
  */
 
 #ifndef HEAT_HW_MOD_REDUCE_UNIT_H

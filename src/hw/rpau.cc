@@ -31,9 +31,4 @@ residuesOfBatch(int batch, size_t q_prime_count, size_t total)
     return out;
 }
 
-Rpau::Rpau(size_t id, const HwConfig &config, size_t degree)
-    : id_(id), engine_(config, degree), coeff_unit_(config)
-{
-}
-
 } // namespace heat::hw

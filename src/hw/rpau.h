@@ -1,14 +1,15 @@
 /**
  * @file
- * Residue Polynomial Arithmetic Unit (Sec. V-A).
+ * Residue Polynomial Arithmetic Unit mapping (Sec. V-A).
  *
  * Each RPAU owns the BRAM slots, the dual-core NTT engine and the
- * coefficient-wise unit for (up to) two RNS primes: RPAU r serves prime
+ * coefficient-wise lanes for (up to) two RNS primes: RPAU r serves prime
  * r of the q base and prime r + 6 of the extension base (the paper's
  * resource sharing: ceil(13/2) = 7 RPAUs, the last one serving only
  * q12). A batch-0 instruction activates RPAUs 0..5, a batch-1
  * instruction RPAUs 0..6; all active RPAUs run in lock-step, so
- * instruction latency is independent of batch width.
+ * instruction latency is independent of batch width and one NttEngine
+ * prices every NTT, rearrange and coefficient-wise instruction.
  */
 
 #ifndef HEAT_HW_RPAU_H
@@ -16,10 +17,6 @@
 
 #include <cstddef>
 #include <vector>
-
-#include "hw/coeff_unit.h"
-#include "hw/config.h"
-#include "hw/ntt_engine.h"
 
 namespace heat::hw {
 
@@ -32,27 +29,6 @@ int batchOfResidue(size_t residue, size_t q_prime_count);
 /** Residue indices belonging to a batch for a base of @p total primes. */
 std::vector<size_t> residuesOfBatch(int batch, size_t q_prime_count,
                                     size_t total);
-
-/** One residue polynomial arithmetic unit. */
-class Rpau
-{
-  public:
-    Rpau(size_t id, const HwConfig &config, size_t degree);
-
-    /** @return unit index in [0, n_rpaus). */
-    size_t id() const { return id_; }
-
-    /** @return the NTT engine (timing + schedule model). */
-    const NttEngine &nttEngine() const { return engine_; }
-
-    /** @return the coefficient-wise unit. */
-    const CoeffUnit &coeffUnit() const { return coeff_unit_; }
-
-  private:
-    size_t id_;
-    NttEngine engine_;
-    CoeffUnit coeff_unit_;
-};
 
 } // namespace heat::hw
 

@@ -1,6 +1,7 @@
 #include "hw/scale_unit.h"
 
 #include "common/panic.h"
+#include "fv/arith.h"
 
 namespace heat::hw {
 
@@ -29,37 +30,21 @@ ScaleUnit::run(MemoryFile &memory, PolyId src, PolyId dst,
     const size_t n = memory.degree();
     const size_t level = in.level;
     const size_t kq = params_->qPrimeCount(level);
-    const size_t kp = params_->pBase()->size();
-    const auto &scaler = params_->scaler(level);
-    const auto &back = params_->scaleBackConverter(level);
-    const bool hps = config_.lift_scale_arch == LiftScaleArch::kHps;
-
     panicIf(!digits.empty() && digits.size() != kq,
             "digit broadcast needs one record per q prime");
+    // The broadcast streams the finished destination rows; a digit
+    // record sharing the destination's slots would overwrite rows later
+    // digits still read.
+    for (PolyId d : digits)
+        panicIf(d == dst, "scale digit record aliases its destination");
 
-    std::vector<uint64_t> full(kq + kp), mid(kp), res(kq);
-    for (size_t j = 0; j < n; ++j) {
-        for (size_t i = 0; i < kq + kp; ++i)
-            full[i] = in.data[i * n + j];
-        if (hps) {
-            scaler.scale(full, mid);
-            back.convert(mid, res);
-        } else {
-            scaler.scaleExact(full, mid);
-            back.convertExact(mid, res);
-        }
-        for (size_t i = 0; i < kq; ++i)
-            out.data[i * n + j] = res[i];
-
-        // WordDecomp broadcast: digit i is residue i reduced modulo
-        // every q channel (at most one conditional subtraction).
-        for (size_t d = 0; d < digits.size(); ++d) {
-            PolyRecord &dig = memory.record(digits[d]);
-            for (size_t c = 0; c < kq; ++c) {
-                dig.data[c * n + j] =
-                    params_->qBase(level)->modulus(c).reduce(res[d]);
-            }
-        }
+    fv::scaleRows(*params_, level, config_.lift_scale_arch, in.data.data(),
+                  out.data.data());
+    // WordDecomp broadcast: digit i is residue i reduced modulo every q
+    // channel.
+    for (size_t d = 0; d < digits.size(); ++d) {
+        fv::digitRows(*params_, level, out.data.data() + d * n,
+                      memory.record(digits[d]).data.data());
     }
     for (auto &l : out.layout)
         l = Layout::kNatural;
@@ -80,7 +65,6 @@ ScaleUnit::runModSwitch(MemoryFile &memory, PolyId src, PolyId dst) const
     panicIf(out.level != from_level + 1,
             "mod-switch destination must sit one level deeper");
 
-    const size_t n = memory.degree();
     const size_t live = params_->qPrimeCount(from_level);
     // The record may be slot-extended to the full base ahead of time (a
     // fused program replays its static slot shapes, including a later
@@ -89,25 +73,8 @@ ScaleUnit::runModSwitch(MemoryFile &memory, PolyId src, PolyId dst) const
     for (size_t i = 0; i < live; ++i)
         panicIf(in.layout[i] != Layout::kNatural,
                 "mod-switch input must be natural order");
-    const auto &rounder = params_->modSwitchRounder(from_level);
-    const bool hps = config_.lift_scale_arch == LiftScaleArch::kHps;
-
-    // Same residue ordering as Evaluator::modSwitchPoly: the dropped
-    // prime's residue feeds the rounder's divisor lane first, followed
-    // by the surviving residues in basis order — keeping the hardware
-    // model and the software evaluator bit-exact.
-    std::vector<uint64_t> full(live), next(live - 1);
-    for (size_t j = 0; j < n; ++j) {
-        full[0] = in.data[(live - 1) * n + j];
-        for (size_t i = 0; i + 1 < live; ++i)
-            full[i + 1] = in.data[i * n + j];
-        if (hps)
-            rounder.scale(full, next);
-        else
-            rounder.scaleExact(full, next);
-        for (size_t i = 0; i + 1 < live; ++i)
-            out.data[i * n + j] = next[i];
-    }
+    fv::modSwitchRows(*params_, from_level, config_.lift_scale_arch,
+                      in.data.data(), out.data.data());
     for (size_t i = 0; i + 1 < live; ++i)
         out.layout[i] = Layout::kNatural;
 }
@@ -117,7 +84,7 @@ ScaleUnit::cycles(size_t level) const
 {
     const size_t n = params_->degree();
     const size_t cores = config_.lift_scale_cores;
-    const int beat = config_.lift_scale_arch == LiftScaleArch::kHps
+    const int beat = config_.lift_scale_arch == fv::ArithPath::kHps
                          ? config_.lift_beat
                          : config_.trad_scale_beat;
     // The fractional MAC chain of Block 1 streams one input residue per
@@ -137,7 +104,7 @@ ScaleUnit::modSwitchCycles(size_t level) const
 {
     const size_t n = params_->degree();
     const size_t cores = config_.lift_scale_cores;
-    const int beat = config_.lift_scale_arch == LiftScaleArch::kHps
+    const int beat = config_.lift_scale_arch == fv::ArithPath::kHps
                          ? config_.lift_beat
                          : config_.trad_scale_beat;
     // A mod-switch streams only the live q residues (no p extension):

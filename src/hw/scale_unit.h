@@ -11,6 +11,11 @@
  * During result writeback the unit can broadcast each output residue to
  * all q channels — materializing the WordDecomp digit polynomials for
  * relinearization at zero extra cost ("cheap bit-level manipulation").
+ *
+ * Functionally the unit runs the shared row drivers of fv/arith.h on
+ * the memory-file records: fv::scaleRows and fv::digitRows for Scale,
+ * fv::modSwitchRows for ModSwitch — the calls fv::Evaluator makes — so
+ * it is bit-exact against the software evaluator by construction.
  */
 
 #ifndef HEAT_HW_SCALE_UNIT_H

@@ -15,10 +15,10 @@
  *          dominates.
  *
  * The functional content of the traditional units is exact CRT
- * arithmetic — in the simulator that is FastBaseConverter::convertExact
- * and ScaleRounder::scaleExact (LiftUnit/ScaleUnit select them when the
- * coprocessor is configured with LiftScaleArch::kTraditional); this
- * class supplies the Sec. VI-C timing analysis.
+ * arithmetic — in the simulator that is the fv::ArithPath::kExactCrt
+ * path of the shared row drivers (fv/arith.h), which LiftUnit and
+ * ScaleUnit run when HwConfig::lift_scale_arch selects it; this class
+ * supplies the Sec. VI-C timing analysis.
  */
 
 #ifndef HEAT_HW_TRAD_LIFT_SCALE_H

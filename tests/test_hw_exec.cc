@@ -3,7 +3,11 @@
  * Instruction-level tests of the coprocessor's functional execution:
  * each opcode is checked in isolation against the software kernels, and
  * the layout/batch discipline (the REARRANGE contract of the paired
- * memory scheme) is verified to reject malformed programs.
+ * memory scheme) is verified to reject malformed programs. The
+ * coprocessor and fv::Evaluator share the Lift/Scale/ModSwitch row
+ * drivers, so hw-vs-evaluator bit-identity cannot catch an error in
+ * them: Scale and ModSwitch are checked here against per-coefficient
+ * oracles that do not go through those drivers.
  */
 
 #include <gtest/gtest.h>
@@ -37,15 +41,30 @@ struct ExecRig
     }
 
     ntt::RnsPoly
-    randomQPoly(uint64_t seed) const
+    randomPoly(const std::shared_ptr<const rns::RnsBase> &base,
+               uint64_t seed) const
     {
         Xoshiro256 rng(seed);
-        ntt::RnsPoly poly(params->qBase(), params->degree());
+        ntt::RnsPoly poly(base, params->degree());
         for (size_t i = 0; i < poly.residueCount(); ++i) {
             for (auto &x : poly.residue(i))
-                x = rng.uniformBelow(params->qBase()->modulus(i).value());
+                x = rng.uniformBelow(base->modulus(i).value());
         }
         return poly;
+    }
+
+    ntt::RnsPoly
+    randomQPoly(uint64_t seed) const
+    {
+        return randomPoly(params->qBase(), seed);
+    }
+
+    /** Arbitrary full-base residues: exercises Scale on inputs no lift
+     *  produces. */
+    ntt::RnsPoly
+    randomFullPoly(uint64_t seed) const
+    {
+        return randomPoly(params->fullBase(), seed);
     }
 
     static Instruction
@@ -73,6 +92,92 @@ struct ExecRig
     HwConfig config;
     std::unique_ptr<Coprocessor> cp;
 };
+
+/**
+ * Per-coefficient oracle of the kScale datapath at level 0: round(t x / q)
+ * into the p base, then the p -> q switch, one gathered coefficient at a
+ * time through the scalar ScaleRounder/FastBaseConverter entry points
+ * (HPS) or their exact BigInt references. Independent of the row
+ * drivers the coprocessor and the evaluator share.
+ */
+std::vector<uint64_t>
+scaleOracle(const fv::FvParams &params, const std::vector<uint64_t> &full,
+            bool exact)
+{
+    const size_t n = params.degree();
+    const size_t kq = params.qBase()->size();
+    const size_t kp = params.pBase()->size();
+    const auto &scaler = params.scaler();
+    const auto &back = params.scaleBackConverter();
+    std::vector<uint64_t> out(kq * n), in(kq + kp), mid(kp), res(kq);
+    for (size_t j = 0; j < n; ++j) {
+        for (size_t i = 0; i < kq + kp; ++i)
+            in[i] = full[i * n + j];
+        if (exact) {
+            scaler.scaleExact(in, mid);
+            back.convertExact(mid, res);
+        } else {
+            scaler.scale(in, mid);
+            back.convert(mid, res);
+        }
+        for (size_t i = 0; i < kq; ++i)
+            out[i * n + j] = res[i];
+    }
+    return out;
+}
+
+/**
+ * Per-coefficient oracle of kModSwitch out of level 0: round(x / q_last)
+ * through modSwitchRounder(0), fed in Evaluator::modSwitchPoly's residue
+ * order (the dropped prime's residue first, then the survivors).
+ */
+std::vector<uint64_t>
+modSwitchOracle(const fv::FvParams &params, const std::vector<uint64_t> &q,
+                bool exact)
+{
+    const size_t n = params.degree();
+    const size_t live = params.qPrimeCount(0);
+    const auto &rounder = params.modSwitchRounder(0);
+    std::vector<uint64_t> out((live - 1) * n), in(live), next(live - 1);
+    for (size_t j = 0; j < n; ++j) {
+        in[0] = q[(live - 1) * n + j];
+        for (size_t i = 0; i + 1 < live; ++i)
+            in[i + 1] = q[i * n + j];
+        if (exact)
+            rounder.scaleExact(in, next);
+        else
+            rounder.scale(in, next);
+        for (size_t i = 0; i + 1 < live; ++i)
+            out[i * n + j] = next[i];
+    }
+    return out;
+}
+
+/** Run kScale and kModSwitch on @p cp and check both destinations
+ *  against the per-coefficient oracles above. */
+void
+expectScaleAndModSwitchMatchOracles(const ExecRig &rig, Coprocessor &cp,
+                                    bool exact)
+{
+    const fv::FvParams &params = *rig.params;
+    const PolyId full = cp.uploadPoly(rig.randomFullPoly(16));
+    const PolyId scaled = cp.memory().allocate(BaseTag::kQ);
+    const PolyId q = cp.uploadPoly(rig.randomQPoly(17));
+    cp.memory().setLevel(1);
+    const PolyId switched = cp.memory().allocate(BaseTag::kQ);
+    cp.memory().setLevel(0);
+
+    Program p;
+    p.instrs = {ExecRig::instr(Opcode::kScale, scaled, full),
+                ExecRig::instr(Opcode::kModSwitch, switched, q)};
+    cp.execute(p);
+
+    EXPECT_EQ(cp.memory().record(scaled).data,
+              scaleOracle(params, cp.memory().record(full).data, exact));
+    EXPECT_EQ(cp.memory().record(switched).level, 1u);
+    EXPECT_EQ(cp.memory().record(switched).data,
+              modSwitchOracle(params, cp.memory().record(q).data, exact));
+}
 
 TEST(HwExec, NttInstructionMatchesSoftwareNtt)
 {
@@ -132,6 +237,49 @@ TEST(HwExec, CoeffOpsMatchSoftware)
     }
 }
 
+TEST(HwExec, CoeffOpsHandleAliasedOperands)
+{
+    // The row kernels work in place on their first operand, so every
+    // way dst can share a record with its sources must still compute
+    // dst = src0 op src1 (dst == src1 with Sub is the case a naive
+    // copy-src0-then-apply order gets wrong).
+    enum class Alias { kDstIsSrc0, kDstIsSrc1, kAllSame };
+    const Opcode ops[] = {Opcode::kCoeffAdd, Opcode::kCoeffSub,
+                          Opcode::kCoeffMul};
+    for (Opcode op : ops) {
+        for (Alias alias :
+             {Alias::kDstIsSrc0, Alias::kDstIsSrc1, Alias::kAllSame}) {
+            ExecRig rig;
+            const ntt::RnsPoly a = rig.randomQPoly(30);
+            const ntt::RnsPoly b =
+                alias == Alias::kAllSame ? a : rig.randomQPoly(31);
+            const PolyId ia = rig.cp->uploadPoly(a);
+            const PolyId ib =
+                alias == Alias::kAllSame ? ia : rig.cp->uploadPoly(b);
+            const PolyId dst = alias == Alias::kDstIsSrc1 ? ib : ia;
+            rig.run({ExecRig::instr(op, dst, ia, ib)});
+
+            const size_t n = rig.params->degree();
+            const auto &got = rig.cp->memory().record(dst).data;
+            for (size_t k = 0; k < a.residueCount(); ++k) {
+                const rns::Modulus &q = rig.params->qBase()->modulus(k);
+                for (size_t j = 0; j < n; ++j) {
+                    const uint64_t x = a.residue(k)[j];
+                    const uint64_t y = b.residue(k)[j];
+                    const uint64_t want = op == Opcode::kCoeffAdd ? q.add(x, y)
+                                          : op == Opcode::kCoeffSub
+                                              ? q.sub(x, y)
+                                              : q.mul(x, y);
+                    ASSERT_EQ(got[k * n + j], want)
+                        << opcodeName(op) << " alias "
+                        << static_cast<int>(alias) << " residue " << k
+                        << " coeff " << j;
+                }
+            }
+        }
+    }
+}
+
 TEST(HwExec, LiftInstructionMatchesConverter)
 {
     ExecRig rig;
@@ -173,9 +321,15 @@ TEST(HwExec, ScaleDigitsBroadcastResidues)
     p.instrs = {ExecRig::instr(Opcode::kLift, src), scale};
     rig.cp->execute(p);
 
+    // The destination against the per-coefficient HPS oracle, fed the
+    // lifted source record the Scale consumed.
+    const auto &dst_rec = rig.cp->memory().record(dst);
+    EXPECT_EQ(dst_rec.data,
+              scaleOracle(*rig.params, rig.cp->memory().record(src).data,
+                          false));
+
     // Digit i must equal residue i of dst reduced mod every channel.
     const size_t n = rig.params->degree();
-    const auto &dst_rec = rig.cp->memory().record(dst);
     for (size_t i = 0; i < kq; ++i) {
         const auto &dig = rig.cp->memory().record(digits[i]);
         for (size_t c = 0; c < kq; ++c) {
@@ -186,6 +340,29 @@ TEST(HwExec, ScaleDigitsBroadcastResidues)
             }
         }
     }
+}
+
+TEST(HwExec, ScaleAndModSwitchMatchPerCoefficientOracles)
+{
+    ExecRig rig;
+    expectScaleAndModSwitchMatchOracles(rig, *rig.cp, false);
+}
+
+TEST(HwExec, ScaleDigitAliasingDestinationPanics)
+{
+    // The digit broadcast streams the finished destination rows, so a
+    // digit record that is the destination would overwrite rows the
+    // later digits read. No emitter produces this; the unit rejects it.
+    ExecRig rig;
+    const PolyId src = rig.cp->uploadPoly(rig.randomFullPoly(18));
+    const PolyId dst = rig.cp->memory().allocate(BaseTag::kQ);
+    Instruction scale = ExecRig::instr(Opcode::kScale, dst, src);
+    for (size_t i = 0; i < rig.params->qBase()->size(); ++i)
+        scale.extra.push_back(rig.cp->memory().allocate(BaseTag::kQ));
+    scale.extra[1] = dst;
+    Program p;
+    p.instrs = {scale};
+    EXPECT_THROW(rig.cp->execute(p), PanicError);
 }
 
 TEST(HwExec, NttWithoutRearrangePanics)
@@ -338,11 +515,11 @@ TEST(HwExec, ProgramListingCoversAllInstructions)
 
 TEST(HwExec, TraditionalArchIsFunctionallyEquivalent)
 {
-    // The traditional-CRT coprocessor must produce valid lifts too
-    // (exact arithmetic path).
+    // The traditional-CRT coprocessor runs the exact arithmetic path:
+    // its Lift, Scale and ModSwitch must match the BigInt references.
     ExecRig rig;
     HwConfig trad = rig.config;
-    trad.lift_scale_arch = LiftScaleArch::kTraditional;
+    trad.lift_scale_arch = fv::ArithPath::kExactCrt;
     Coprocessor cp_trad(rig.params, trad);
 
     ntt::RnsPoly poly = rig.randomQPoly(15);
@@ -363,6 +540,7 @@ TEST(HwExec, TraditionalArchIsFunctionallyEquivalent)
         for (size_t i = 0; i < kp; ++i)
             EXPECT_EQ(rec.data[(kq + i) * n + j], out[i]) << j;
     }
+    expectScaleAndModSwitchMatchOracles(rig, cp_trad, true);
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the hardware building-block models: BRAM port
- * accounting, the Fig. 3 conflict-free NTT access schedule, the DMA
+ * accounting, the Fig. 3 conflict-free NTT access schedule, the
+ * sliding-window reducer as the oracle for the mul_mod kernels, the DMA
  * model against Table III, the traditional Lift/Scale cycle model
  * against Sec. VI-C, the resource model against Table IV, the power
  * model against Sec. VI-C, and the Table V scaling estimator.
@@ -10,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/panic.h"
+#include "common/random.h"
 #include "fv/params.h"
 #include "hw/bram.h"
 #include "hw/dma.h"
@@ -22,6 +25,7 @@
 #include "hw/rpau.h"
 #include "hw/scaling_estimator.h"
 #include "hw/trad_lift_scale.h"
+#include "simd/simd.h"
 
 namespace heat::hw {
 namespace {
@@ -141,6 +145,27 @@ TEST(ModReduceUnit, FunctionalAndLatency)
               (uint64_t(1) << 59) % q.value());
     // The configured butterfly pipeline covers the full datapath.
     EXPECT_LE(kButterflyLatency, HwConfig::paper().butterfly_pipeline_depth);
+
+    // The simulator's coefficient-wise multiply runs the dyadic mul_mod
+    // kernels, not this circuit: every kernel table must produce exactly
+    // what the sliding-window reducer produces for DSP products of
+    // 30-bit residues.
+    constexpr size_t kCount = 1024;
+    Xoshiro256 rng(42);
+    std::vector<uint64_t> a(kCount), b(kCount), want(kCount);
+    for (size_t i = 0; i < kCount; ++i) {
+        a[i] = rng.uniformBelow(q.value());
+        b[i] = rng.uniformBelow(q.value());
+        want[i] = unit.reduce(a[i] * b[i]);
+    }
+    a[0] = b[0] = q.value() - 1; // the largest product
+    want[0] = unit.reduce(a[0] * b[0]);
+    for (int l = 0; l <= static_cast<int>(simd::detectedLevel()); ++l) {
+        const auto level = static_cast<simd::Level>(l);
+        std::vector<uint64_t> got = a;
+        simd::kernelsFor(level).mul_mod(got.data(), b.data(), kCount, q);
+        EXPECT_EQ(got, want) << simd::levelName(level);
+    }
 }
 
 TEST(RpauMapping, MatchesPaperSharing)

@@ -129,31 +129,28 @@ main(int argc, char **argv)
     // --- static-verifier overhead ---------------------------------------
     // The abstract interpreter runs on every compile (kWarn/kReject)
     // and every service admission; it must stay a small fraction of
-    // the compile it guards.
-    const size_t reps = 10;
+    // the compile it guards. Compile and verify alternate round by
+    // round and the gate takes the median per-round ratio, so host
+    // noise in one stretch of the run cannot land on one side only.
     compiler::CompilerOptions unverified = options;
     unverified.verify = compiler::VerifyCheck::kOff;
-    const auto c0 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < reps; ++i)
-        compiler::compileCircuit(params, circuit, unverified);
-    const auto c1 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < reps; ++i) {
-        const verify::VerifyResult vr =
-            verify::verifyCompiledCircuit(compiled);
-        if (!vr.ok()) {
-            std::fprintf(stderr, "bench circuit failed verification:\n%s\n",
-                         vr.report().c_str());
-            return 1;
-        }
+    bool verified = true;
+    const bench::InterleavedTimes times = bench::timeInterleaved(
+        {
+            [&] { compiler::compileCircuit(params, circuit, unverified); },
+            [&] {
+                verified &= verify::verifyCompiledCircuit(compiled).ok();
+            },
+        },
+        /*rounds=*/31, /*iters=*/1);
+    if (!verified) {
+        std::fprintf(stderr, "bench circuit failed verification:\n%s\n",
+                     verify::verifyCompiledCircuit(compiled).report().c_str());
+        return 1;
     }
-    const auto c2 = std::chrono::steady_clock::now();
-    const double compile_us =
-        std::chrono::duration<double, std::micro>(c1 - c0).count() /
-        static_cast<double>(reps);
-    const double verify_us =
-        std::chrono::duration<double, std::micro>(c2 - c1).count() /
-        static_cast<double>(reps);
-    const double verify_overhead_pct = 100.0 * verify_us / compile_us;
+    const double compile_us = times.best(0) * 1e6;
+    const double verify_us = times.best(1) * 1e6;
+    const double verify_overhead_pct = 100.0 * times.medianRatio(1, 0);
 
     bench::printHeader("circuit fusion: depth-4 demo circuit "
                        "(8 ops, paper parameters)");

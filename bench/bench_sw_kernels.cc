@@ -9,8 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -381,75 +379,21 @@ class JsonLinesReporter : public benchmark::ConsoleReporter
     const heat::bench::JsonReporter &json_;
 };
 
-/**
- * Median-of-reps forward-NTT time for one kernel table, measured with
- * a plain steady_clock loop so the scalar-vs-dispatched ratio can be
- * emitted as a single JSON record for the CI speedup gate.
- */
-double
-forwardNttSecondsPerTransform(const simd::Kernels &kernels, size_t n)
+/** A random canonical operand and the twiddle tables at degree n. */
+struct NttOperand
 {
-    rns::Modulus q(rns::generateNttPrimes(30, n, 1)[0]);
-    ntt::NttTables tables(q, n);
-    Xoshiro256 rng(16);
-    std::vector<uint64_t> a(n);
-    for (auto &x : a)
-        x = rng.uniformBelow(q.value());
-
-    constexpr int kWarmup = 20;
-    constexpr int kIters = 200;
-    constexpr int kReps = 5;
-    for (int i = 0; i < kWarmup; ++i)
-        kernels.ntt_forward(a.data(), tables);
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        for (int i = 0; i < kIters; ++i)
-            kernels.ntt_forward(a.data(), tables);
-        const auto stop = std::chrono::steady_clock::now();
-        const double secs =
-            std::chrono::duration<double>(stop - start).count() / kIters;
-        best = std::min(best, secs);
+    explicit NttOperand(size_t n)
+        : tables(rns::Modulus(rns::generateNttPrimes(30, n, 1)[0]), n),
+          a(n)
+    {
+        Xoshiro256 rng(16);
+        for (auto &x : a)
+            x = rng.uniformBelow(tables.modulus().value());
     }
-    benchmark::DoNotOptimize(a.data());
-    return best;
-}
 
-/**
- * Same measurement through the instrumented ntt::forwardNtt dispatcher
- * (which carries an OBS_SPAN). With no tracer installed the span must
- * be one relaxed atomic load + branch — the delta against the raw
- * kernel-table loop above is the disabled-instrumentation overhead the
- * CI gates at < 2%.
- */
-double
-forwardNttDispatcherSecondsPerTransform(size_t n)
-{
-    rns::Modulus q(rns::generateNttPrimes(30, n, 1)[0]);
-    ntt::NttTables tables(q, n);
-    Xoshiro256 rng(16);
-    std::vector<uint64_t> a(n);
-    for (auto &x : a)
-        x = rng.uniformBelow(q.value());
-
-    constexpr int kWarmup = 20;
-    constexpr int kIters = 200;
-    constexpr int kReps = 5;
-    for (int i = 0; i < kWarmup; ++i)
-        ntt::forwardNtt(a, tables);
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        for (int i = 0; i < kIters; ++i)
-            ntt::forwardNtt(a, tables);
-        const auto stop = std::chrono::steady_clock::now();
-        const double secs =
-            std::chrono::duration<double>(stop - start).count() / kIters;
-        best = std::min(best, secs);
-    }
-    benchmark::DoNotOptimize(a.data());
-    return best;
-}
+    ntt::NttTables tables;
+    std::vector<uint64_t> a;
+};
 
 } // namespace
 
@@ -494,51 +438,83 @@ main(int argc, char **argv)
     JsonLinesReporter reporter(json);
     benchmark::RunSpecifiedBenchmarks(&reporter);
 
-    // Dispatched-vs-scalar forward-NTT ratio for the CI gate. The
-    // dispatched table is whatever CPUID + HEAT_SIMD selected, so on a
-    // forced-scalar run (or a host without AVX2) the ratio is ~1.
+    // Wall-time ratios for the CI gates, each the median of per-round
+    // ratios over kRounds interleaved rounds of kIters transforms.
+    constexpr int kRounds = 200;
+    constexpr int kIters = 10;
+
+    // Dispatched-vs-scalar forward- and inverse-NTT ratios for the CI
+    // gates. The dispatched table is whatever CPUID + HEAT_SIMD
+    // selected, so on a forced-scalar run (or a host without AVX2) the
+    // ratios are ~1. Transforms run in place: each output is canonical,
+    // so it is a valid input for the next call in either direction.
     {
         constexpr size_t kSpeedupDegree = 8192;
-        const double scalar_secs = forwardNttSecondsPerTransform(
-            simd::kernelsFor(simd::Level::kScalar), kSpeedupDegree);
-        const double active_secs = forwardNttSecondsPerTransform(
-            simd::active(), kSpeedupDegree);
-        const double speedup = scalar_secs / active_secs;
+        NttOperand op(kSpeedupDegree);
+        const simd::Kernels &scalar = simd::kernelsFor(simd::Level::kScalar);
+        const simd::Kernels &active = simd::active();
+        const heat::bench::InterleavedTimes times =
+            heat::bench::timeInterleaved(
+                {
+                    [&] { scalar.ntt_forward(op.a.data(), op.tables); },
+                    [&] { active.ntt_forward(op.a.data(), op.tables); },
+                    [&] { scalar.ntt_inverse(op.a.data(), op.tables); },
+                    [&] { active.ntt_inverse(op.a.data(), op.tables); },
+                },
+                kRounds, kIters);
+        benchmark::DoNotOptimize(op.a.data());
+        const double ntt_speedup = times.medianRatio(0, 1);
+        const double intt_speedup = times.medianRatio(2, 3);
         heat::bench::printHeader("SIMD dispatch");
         heat::bench::printInfo(
             std::string("active level: ") +
                 simd::levelName(simd::activeLevel()),
             static_cast<double>(simd::activeLevel()), "");
         heat::bench::printInfo("forward NTT scalar (n=8192)",
-                               scalar_secs * 1e6, "us");
+                               times.best(0) * 1e6, "us");
         heat::bench::printInfo("forward NTT dispatched (n=8192)",
-                               active_secs * 1e6, "us");
-        heat::bench::printInfo("ntt_simd_vs_scalar_speedup", speedup, "x");
+                               times.best(1) * 1e6, "us");
+        heat::bench::printInfo("inverse NTT scalar (n=8192)",
+                               times.best(2) * 1e6, "us");
+        heat::bench::printInfo("inverse NTT dispatched (n=8192)",
+                               times.best(3) * 1e6, "us");
+        heat::bench::printInfo("ntt_simd_vs_scalar_speedup", ntt_speedup,
+                               "x");
+        heat::bench::printInfo("intt_simd_vs_scalar_speedup",
+                               intt_speedup, "x");
         json.record("cpu_simd_level",
                     static_cast<double>(simd::detectedLevel()), "level");
         json.record("active_simd_level",
                     static_cast<double>(simd::activeLevel()), "level");
-        json.record("ntt_simd_vs_scalar_speedup", speedup, "x",
+        json.record("ntt_simd_vs_scalar_speedup", ntt_speedup, "x",
+                    kSpeedupDegree, 1);
+        json.record("intt_simd_vs_scalar_speedup", intt_speedup, "x",
                     kSpeedupDegree, 1);
     }
 
     // Disabled-instrumentation overhead of the OBS_SPAN macro on the
-    // forward-NTT dispatcher, for the CI < 2% gate. Best-of-reps on
-    // both sides so scheduler noise cancels; the result can go
-    // slightly negative on a quiet machine.
+    // forward-NTT dispatcher, for the CI < 2% gate: the raw kernel
+    // table against ntt::forwardNtt, whose span with no tracer
+    // installed must be one relaxed atomic load + branch. The result
+    // can go slightly negative on a quiet machine.
     {
         constexpr size_t kOverheadDegree = 8192;
-        const double raw_secs = forwardNttSecondsPerTransform(
-            simd::active(), kOverheadDegree);
-        const double instrumented_secs =
-            forwardNttDispatcherSecondsPerTransform(kOverheadDegree);
-        const double overhead_pct =
-            (instrumented_secs / raw_secs - 1.0) * 100.0;
+        NttOperand op(kOverheadDegree);
+        const simd::Kernels &active = simd::active();
+        const heat::bench::InterleavedTimes times =
+            heat::bench::timeInterleaved(
+                {
+                    [&] { active.ntt_forward(op.a.data(), op.tables); },
+                    [&] { ntt::forwardNtt(op.a, op.tables); },
+                },
+                kRounds, kIters);
+        benchmark::DoNotOptimize(op.a.data());
+        const double overhead_pct = (times.medianRatio(1, 0) - 1.0) * 100.0;
         heat::bench::printHeader("observability overhead");
         heat::bench::printInfo("forward NTT raw table (n=8192)",
-                               raw_secs * 1e6, "us");
+                               times.best(0) * 1e6, "us");
         heat::bench::printInfo("forward NTT instrumented (n=8192)",
-                               instrumented_secs * 1e6, "us");
+                               times.best(1) * 1e6, "us");
         heat::bench::printInfo("obs_span_disabled_overhead_pct",
                                overhead_pct, "%");
         json.record("obs_span_disabled_overhead_pct", overhead_pct, "%",

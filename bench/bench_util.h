@@ -2,19 +2,24 @@
  * @file
  * Shared helpers for the reproduction benchmarks: paper-vs-measured
  * table printing, the `--json <path>` structured reporter that feeds
- * the repo's performance trajectory (BENCH_*.json), and the compiled
- * FV.Mult program the table benches price.
+ * the repo's performance trajectory (BENCH_*.json), the compiled
+ * FV.Mult program the table benches price, and the interleaved timer
+ * behind the wall-time ratios CI gates on.
  */
 
 #ifndef HEAT_BENCH_BENCH_UTIL_H
 #define HEAT_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/parallel.h"
 #include "compiler/compiler.h"
@@ -66,6 +71,68 @@ inline void
 printInfo(const std::string &metric, double value, const char *unit)
 {
     std::printf("%-42s %14s %11.3f %s\n", metric.c_str(), "-", value, unit);
+}
+
+/** Per-round wall times of bodies timed by timeInterleaved(). */
+struct InterleavedTimes
+{
+    /** secs[k][r]: seconds per call of body k in round r. */
+    std::vector<std::vector<double>> secs;
+
+    /** @return body @p k's fastest round, in seconds per call. */
+    double
+    best(size_t k) const
+    {
+        return *std::min_element(secs[k].begin(), secs[k].end());
+    }
+
+    /**
+     * @return the median over rounds of body @p num's time over body
+     * @p den's in the same round. Drift slower than a round cancels
+     * within each pair, and the median drops the rounds a preemption
+     * hit on one side only; a ratio of per-side minima does neither.
+     */
+    double
+    medianRatio(size_t num, size_t den) const
+    {
+        std::vector<double> ratios(secs[num].size());
+        for (size_t r = 0; r < ratios.size(); ++r)
+            ratios[r] = secs[num][r] / secs[den][r];
+        const auto mid = ratios.begin() + ratios.size() / 2;
+        std::nth_element(ratios.begin(), mid, ratios.end());
+        return *mid;
+    }
+};
+
+/**
+ * Time @p bodies in @p rounds interleaved rounds of @p iters calls
+ * each, after @p iters warm-up calls of every body. Each round times
+ * every body back to back, in reverse order on odd rounds so neither
+ * side always runs first.
+ */
+inline InterleavedTimes
+timeInterleaved(const std::vector<std::function<void()>> &bodies,
+                int rounds, int iters)
+{
+    for (const auto &body : bodies)
+        for (int i = 0; i < iters; ++i)
+            body();
+    const size_t count = bodies.size();
+    InterleavedTimes times{std::vector<std::vector<double>>(
+        count, std::vector<double>(static_cast<size_t>(rounds)))};
+    for (int r = 0; r < rounds; ++r) {
+        for (size_t i = 0; i < count; ++i) {
+            const size_t k = r % 2 == 0 ? i : count - 1 - i;
+            const auto start = std::chrono::steady_clock::now();
+            for (int j = 0; j < iters; ++j)
+                bodies[k]();
+            const auto stop = std::chrono::steady_clock::now();
+            times.secs[k][static_cast<size_t>(r)] =
+                std::chrono::duration<double>(stop - start).count() /
+                iters;
+        }
+    }
+    return times;
 }
 
 /** One structured measurement for the JSON-lines trajectory. */

@@ -55,6 +55,25 @@ class NttTables
     /** @return Shoup precomputation for invRootPower(i). */
     uint64_t invRootPowerShoup(size_t i) const { return inv_root_shoup_[i]; }
 
+    /** @return the n forward twiddles; rootPowers()[i] == rootPower(i). */
+    const uint64_t *rootPowers() const { return root_powers_.data(); }
+
+    /** @return the n Shoup precomputations of rootPowers(). */
+    const uint64_t *rootPowersShoup() const { return root_shoup_.data(); }
+
+    /** @return the n inverse twiddles; invRootPowers()[i] ==
+     * invRootPower(i). */
+    const uint64_t *invRootPowers() const
+    {
+        return inv_root_powers_.data();
+    }
+
+    /** @return the n Shoup precomputations of invRootPowers(). */
+    const uint64_t *invRootPowersShoup() const
+    {
+        return inv_root_shoup_.data();
+    }
+
     /** @return n^{-1} mod q. */
     uint64_t invDegree() const { return inv_degree_; }
 

@@ -11,7 +11,10 @@
  * 64-bit one: floor(w*2^64/q) >> 32 == floor(w*2^32/q). Lazy values
  * differ from the scalar oracle's by multiples of q, but every kernel
  * normalizes its outputs, so results are bit-identical. Wider moduli
- * and sub-lane tails run the scalar bodies.
+ * and the element-wise kernels' sub-vector loop remainders run the
+ * scalar bodies. The NTTs vectorize every stage: the t = 2, 1 stages,
+ * whose butterflies are closer than a vector width, regroup lanes with
+ * in-register shuffles (n >= 8).
  */
 
 #include <immintrin.h>
@@ -79,116 +82,217 @@ reduceLazyBy1(__m256i s, __m256i phi1, __m256i q)
     return _mm256_sub_epi64(s, _mm256_mul_epu32(quot, q));
 }
 
+/** CT butterfly on Harvey-lazy values: u, v in [0, 4q) stay in [0, 4q). */
+inline void
+ctButterfly(__m256i &u, __m256i &v, __m256i w, __m256i phi, __m256i q,
+            __m256i two_q)
+{
+    const __m256i x = csub(u, two_q);
+    const __m256i y = mulShoupLazy32(v, w, phi, q);
+    u = _mm256_add_epi64(x, y);
+    v = _mm256_add_epi64(_mm256_sub_epi64(x, y), two_q);
+}
+
+/** GS butterfly on lazy values: u, v in [0, 2q) stay in [0, 2q). */
+inline void
+gsButterfly(__m256i &u, __m256i &v, __m256i w, __m256i phi, __m256i q,
+            __m256i two_q)
+{
+    const __m256i x = _mm256_add_epi64(_mm256_sub_epi64(u, v), two_q);
+    u = csub(_mm256_add_epi64(u, v), two_q);
+    v = mulShoupLazy32(x, w, phi, q);
+}
+
+/*
+ * The last stages (t = 4, 2, 1) work on 8-coefficient chunks held in
+ * two registers x, y, with x holding the four butterfly tops and y the
+ * matching bottoms in block order (lane l is in block l / t). For
+ * t = 4 that is the chunk as loaded; the sub-lane stages regroup it
+ * first: coefficients {0,1,4,5} / {2,3,6,7} for t = 2, {0,2,4,6} /
+ * {1,3,5,7} for t = 1. Both regroupings below are their own inverses.
+ */
+
+/** Natural order <-> t = 2 layout: swap the inner 128-bit halves. */
+inline void
+swapHalves(__m256i &x, __m256i &y)
+{
+    const __m256i nx = _mm256_permute2x128_si256(x, y, 0x20);
+    y = _mm256_permute2x128_si256(x, y, 0x31);
+    x = nx;
+}
+
+/** t = 2 layout <-> t = 1 layout: interleave within 128-bit halves. */
+inline void
+interleave(__m256i &x, __m256i &y)
+{
+    const __m256i nx = _mm256_unpacklo_epi64(x, y);
+    y = _mm256_unpackhi_epi64(x, y);
+    x = nx;
+}
+
+/**
+ * Lane l of the result is p[l / T]: stage T's twiddle-table entries
+ * for one chunk (4 / T of them), each repeated across its block.
+ */
+template <size_t T>
+inline __m256i
+spread(const uint64_t *p)
+{
+    if constexpr (T == 4) {
+        return set1(*p);
+    } else if constexpr (T == 1) {
+        return load(p);
+    } else {
+        static_assert(T == 2);
+        const __m128i pair =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+        return _mm256_permute4x64_epi64(_mm256_castsi128_si256(pair),
+                                        0x50);
+    }
+}
+
+/** Twiddle index of chunk @p c's first block in stage T. */
+template <size_t T>
+inline size_t
+chunkTwiddle(size_t n, size_t c)
+{
+    return n / (2 * T) + c * (4 / T);
+}
+
+template <size_t T>
+inline void
+ctInChunk(__m256i &x, __m256i &y, const ntt::NttTables &tables, size_t c,
+          __m256i q, __m256i two_q)
+{
+    const size_t k = chunkTwiddle<T>(tables.degree(), c);
+    const __m256i phi =
+        _mm256_srli_epi64(spread<T>(tables.rootPowersShoup() + k), 32);
+    ctButterfly(x, y, spread<T>(tables.rootPowers() + k), phi, q, two_q);
+}
+
+template <size_t T>
+inline void
+gsInChunk(__m256i &x, __m256i &y, const ntt::NttTables &tables, size_t c,
+          __m256i q, __m256i two_q)
+{
+    const size_t k = chunkTwiddle<T>(tables.degree(), c);
+    const __m256i phi =
+        _mm256_srli_epi64(spread<T>(tables.invRootPowersShoup() + k), 32);
+    gsButterfly(x, y, spread<T>(tables.invRootPowers() + k), phi, q,
+                two_q);
+}
+
 void
 nttForwardAvx2(uint64_t *a, const ntt::NttTables &tables)
 {
-    const rns::Modulus &mod = tables.modulus();
-    const uint64_t qv = mod.value();
+    const uint64_t qv = tables.modulus().value();
     const size_t n = tables.degree();
     if (!eligibleModulus(qv) || n < 8) {
         ntt::forwardNttScalar({a, n}, tables);
         return;
     }
-    const uint64_t two_q = 2 * qv;
     const __m256i vq = set1(qv);
-    const __m256i v2q = set1(two_q);
+    const __m256i v2q = set1(2 * qv);
 
-    size_t t = n;
-    for (size_t m = 1; m < n; m <<= 1) {
-        t >>= 1;
-        if (t >= 4) {
-            for (size_t i = 0; i < m; ++i) {
-                const size_t j1 = 2 * i * t;
-                const __m256i vw = set1(tables.rootPower(m + i));
-                const __m256i vphi =
-                    set1(tables.rootPowerShoup(m + i) >> 32);
-                for (size_t j = j1; j < j1 + t; j += 4) {
-                    __m256i u = csub(load(a + j), v2q);
-                    const __m256i v =
-                        mulShoupLazy32(load(a + j + t), vw, vphi, vq);
-                    store(a + j, _mm256_add_epi64(u, v));
-                    store(a + j + t,
-                          _mm256_add_epi64(_mm256_sub_epi64(u, v), v2q));
-                }
-            }
-        } else {
-            // Sub-lane tail stages: the oracle's 64-bit butterflies.
-            for (size_t i = 0; i < m; ++i) {
-                const size_t j1 = 2 * i * t;
-                const uint64_t w = tables.rootPower(m + i);
-                const uint64_t w_shoup = tables.rootPowerShoup(m + i);
-                for (size_t j = j1; j < j1 + t; ++j) {
-                    uint64_t u = a[j];
-                    if (u >= two_q)
-                        u -= two_q;
-                    const uint64_t v =
-                        mod.mulShoupLazy(a[j + t], w, w_shoup);
-                    a[j] = u + v;
-                    a[j + t] = u - v + two_q;
-                }
+    size_t m = 1;
+    for (size_t t = n >> 1; t >= 8; t >>= 1, m <<= 1) {
+        for (size_t i = 0; i < m; ++i) {
+            const size_t j1 = 2 * i * t;
+            const __m256i vw = set1(tables.rootPower(m + i));
+            const __m256i vphi =
+                set1(tables.rootPowerShoup(m + i) >> 32);
+            for (size_t j = j1; j < j1 + t; j += 4) {
+                __m256i u = load(a + j);
+                __m256i v = load(a + j + t);
+                ctButterfly(u, v, vw, vphi, vq, v2q);
+                store(a + j, u);
+                store(a + j + t, v);
             }
         }
     }
-    for (size_t j = 0; j < n; j += 4)
-        store(a + j, csub(csub(load(a + j), v2q), vq));
+
+    // The last three stages (t = 4, 2, 1) and the final normalization,
+    // fused: each chunk stays in registers from load to store. Stage
+    // t = 4 pairs the chunk's two halves as loaded.
+    for (size_t c = 0; c < n / 8; ++c) {
+        __m256i x = load(a + 8 * c);
+        __m256i y = load(a + 8 * c + 4);
+        ctInChunk<4>(x, y, tables, c, vq, v2q);
+        swapHalves(x, y);
+        ctInChunk<2>(x, y, tables, c, vq, v2q);
+        interleave(x, y);
+        ctInChunk<1>(x, y, tables, c, vq, v2q);
+        x = csub(csub(x, v2q), vq);
+        y = csub(csub(y, v2q), vq);
+        interleave(x, y);
+        swapHalves(x, y);
+        store(a + 8 * c, x);
+        store(a + 8 * c + 4, y);
+    }
 }
 
 void
 nttInverseAvx2(uint64_t *a, const ntt::NttTables &tables)
 {
-    const rns::Modulus &mod = tables.modulus();
-    const uint64_t qv = mod.value();
+    const uint64_t qv = tables.modulus().value();
     const size_t n = tables.degree();
     if (!eligibleModulus(qv) || n < 8) {
         ntt::inverseNttScalar({a, n}, tables);
         return;
     }
-    const uint64_t two_q = 2 * qv;
     const __m256i vq = set1(qv);
-    const __m256i v2q = set1(two_q);
+    const __m256i v2q = set1(2 * qv);
 
-    size_t t = 1;
-    for (size_t h = n >> 1; h >= 1; h >>= 1) {
-        if (t >= 4) {
-            for (size_t i = 0; i < h; ++i) {
-                const size_t j1 = 2 * i * t;
-                const __m256i vw = set1(tables.invRootPower(h + i));
-                const __m256i vphi =
-                    set1(tables.invRootPowerShoup(h + i) >> 32);
-                for (size_t j = j1; j < j1 + t; j += 4) {
-                    const __m256i u = load(a + j);
-                    const __m256i v = load(a + j + t);
-                    store(a + j, csub(_mm256_add_epi64(u, v), v2q));
-                    const __m256i x =
-                        _mm256_add_epi64(_mm256_sub_epi64(u, v), v2q);
-                    store(a + j + t, mulShoupLazy32(x, vw, vphi, vq));
-                }
-            }
-        } else {
-            for (size_t i = 0; i < h; ++i) {
-                const size_t j1 = 2 * i * t;
-                const uint64_t w = tables.invRootPower(h + i);
-                const uint64_t w_shoup = tables.invRootPowerShoup(h + i);
-                for (size_t j = j1; j < j1 + t; ++j) {
-                    const uint64_t u = a[j];
-                    const uint64_t v = a[j + t];
-                    uint64_t s = u + v;
-                    if (s >= two_q)
-                        s -= two_q;
-                    a[j] = s;
-                    a[j + t] = mod.mulShoupLazy(u - v + two_q, w, w_shoup);
-                }
-            }
-        }
-        t <<= 1;
+    // Stages t = 1, 2, fused per chunk as in the forward transform.
+    for (size_t c = 0; c < n / 8; ++c) {
+        __m256i x = load(a + 8 * c);
+        __m256i y = load(a + 8 * c + 4);
+        swapHalves(x, y);
+        interleave(x, y);
+        gsInChunk<1>(x, y, tables, c, vq, v2q);
+        interleave(x, y);
+        gsInChunk<2>(x, y, tables, c, vq, v2q);
+        swapHalves(x, y);
+        store(a + 8 * c, x);
+        store(a + 8 * c + 4, y);
     }
 
+    for (size_t t = 4; t < n / 2; t <<= 1) {
+        const size_t h = n / (2 * t);
+        for (size_t i = 0; i < h; ++i) {
+            const size_t j1 = 2 * i * t;
+            const __m256i vw = set1(tables.invRootPower(h + i));
+            const __m256i vphi =
+                set1(tables.invRootPowerShoup(h + i) >> 32);
+            for (size_t j = j1; j < j1 + t; j += 4) {
+                __m256i u = load(a + j);
+                __m256i v = load(a + j + t);
+                gsButterfly(u, v, vw, vphi, vq, v2q);
+                store(a + j, u);
+                store(a + j + t, v);
+            }
+        }
+    }
+
+    // Last stage (t = n/2) with the n^{-1} scaling folded in: sums
+    // are scaled by n^{-1}, differences by w * n^{-1}, and both leave
+    // normalized. A sum is below 4q < 2^32, inside the lazy Shoup
+    // product's input range, so it needs no conditional subtract.
+    const size_t t = n / 2;
+    const rns::Modulus &mod = tables.modulus();
+    const uint64_t w_n = mod.mul(tables.invRootPower(1), tables.invDegree());
     const __m256i vn_inv = set1(tables.invDegree());
     const __m256i vphi_n = set1(tables.invDegreeShoup() >> 32);
-    for (size_t j = 0; j < n; j += 4) {
-        const __m256i r =
-            mulShoupLazy32(load(a + j), vn_inv, vphi_n, vq);
-        store(a + j, csub(r, vq));
+    const __m256i vw_n = set1(w_n);
+    const __m256i vphi_wn = set1(mod.shoupPrecompute(w_n) >> 32);
+    for (size_t j = 0; j < t; j += 4) {
+        const __m256i u = load(a + j);
+        const __m256i v = load(a + j + t);
+        const __m256i sum = _mm256_add_epi64(u, v);
+        const __m256i diff = _mm256_add_epi64(_mm256_sub_epi64(u, v), v2q);
+        store(a + j, csub(mulShoupLazy32(sum, vn_inv, vphi_n, vq), vq));
+        store(a + j + t,
+              csub(mulShoupLazy32(diff, vw_n, vphi_wn, vq), vq));
     }
 }
 

@@ -6,7 +6,9 @@
  * Same 32-bit Shoup/Harvey reduction chains as the AVX2 table (see
  * simd_avx2.cc for the range arguments) — the wins here are twice the
  * lane count and native unsigned 64-bit compares into mask registers
- * (no sign-bias tricks for carries or conditional subtracts).
+ * (no sign-bias tricks for carries or conditional subtracts). The NTTs
+ * run every stage in vectors; the t = 4, 2, 1 stages regroup
+ * 16-coefficient chunks with two-source lane permutes (n >= 16).
  */
 
 #include <immintrin.h>
@@ -63,115 +65,237 @@ reduceLazyBy1(__m512i s, __m512i phi1, __m512i q)
     return _mm512_sub_epi64(s, _mm512_mul_epu32(quot, q));
 }
 
+/** CT butterfly on Harvey-lazy values: u, v in [0, 4q) stay in [0, 4q). */
+inline void
+ctButterfly(__m512i &u, __m512i &v, __m512i w, __m512i phi, __m512i q,
+            __m512i two_q)
+{
+    const __m512i x = csub(u, two_q);
+    const __m512i y = mulShoupLazy32(v, w, phi, q);
+    u = _mm512_add_epi64(x, y);
+    v = _mm512_add_epi64(_mm512_sub_epi64(x, y), two_q);
+}
+
+/** GS butterfly on lazy values: u, v in [0, 2q) stay in [0, 2q). */
+inline void
+gsButterfly(__m512i &u, __m512i &v, __m512i w, __m512i phi, __m512i q,
+            __m512i two_q)
+{
+    const __m512i x = _mm512_add_epi64(_mm512_sub_epi64(u, v), two_q);
+    u = csub(_mm512_add_epi64(u, v), two_q);
+    v = mulShoupLazy32(x, w, phi, q);
+}
+
+/**
+ * A lane regrouping of a 16-coefficient chunk held in two registers:
+ * (x, y) <- (x:y[lo], x:y[hi]), where x:y is the 16-lane concatenation.
+ *
+ * The last four stages (t = 8, 4, 2, 1) run per chunk with x holding
+ * the eight butterfly tops and y the eight matching bottoms, in block
+ * order, so lane l belongs to block l / t of the chunk. For t = 8 that
+ * is the chunk as loaded. The sub-lane stages butterfly coefficients
+ * closer than a vector width, so each regroups the chunk first: stage
+ * t's layout puts coefficients {0,1,2,3,8,9,10,11}, {0,1,4,5,8,9,12,13}
+ * or {0,2,...,14} in x for t = 4, 2, 1, and their partners (+t) in y.
+ */
+struct Regroup
+{
+    __m512i lo, hi;
+};
+
+inline void
+regroup(__m512i &x, __m512i &y, const Regroup &r)
+{
+    const __m512i nx = _mm512_permutex2var_epi64(x, r.lo, y);
+    y = _mm512_permutex2var_epi64(x, r.hi, y);
+    x = nx;
+}
+
+/** The maps between the natural order and the t = 4, 2, 1 layouts. The
+ * first three are their own inverses. Built per call: a namespace-scope
+ * __m512i would run AVX-512 code at static-init time on any host. */
+struct SubLaneMaps
+{
+    Regroup t4{_mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
+               _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15)};
+    Regroup t4_t2{_mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13),
+                  _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15)};
+    Regroup t2_t1{_mm512_setr_epi64(0, 8, 2, 10, 4, 12, 6, 14),
+                  _mm512_setr_epi64(1, 9, 3, 11, 5, 13, 7, 15)};
+    Regroup to_t1{_mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
+                  _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15)};
+    Regroup from_t1{_mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11),
+                    _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15)};
+};
+
+/**
+ * Lane l of the result is p[l / T]: stage T's twiddle-table entries
+ * for one chunk (8 / T of them), each repeated across its block.
+ */
+template <size_t T>
+inline __m512i
+spread(const uint64_t *p)
+{
+    if constexpr (T == 8) {
+        return set1(*p);
+    } else if constexpr (T == 1) {
+        return load(p);
+    } else {
+        const __m512i idx = T == 4
+                                ? _mm512_setr_epi64(0, 0, 0, 0, 1, 1, 1, 1)
+                                : _mm512_setr_epi64(0, 0, 1, 1, 2, 2, 3, 3);
+        const __mmask8 live = (1u << (8 / T)) - 1;
+        return _mm512_permutexvar_epi64(idx,
+                                        _mm512_maskz_loadu_epi64(live, p));
+    }
+}
+
+/** Twiddle index of chunk @p c's first block in stage T. */
+template <size_t T>
+inline size_t
+chunkTwiddle(size_t n, size_t c)
+{
+    return n / (2 * T) + c * (8 / T);
+}
+
+template <size_t T>
+inline void
+ctInChunk(__m512i &x, __m512i &y, const ntt::NttTables &tables, size_t c,
+          __m512i q, __m512i two_q)
+{
+    const size_t k = chunkTwiddle<T>(tables.degree(), c);
+    const __m512i phi =
+        _mm512_srli_epi64(spread<T>(tables.rootPowersShoup() + k), 32);
+    ctButterfly(x, y, spread<T>(tables.rootPowers() + k), phi, q, two_q);
+}
+
+template <size_t T>
+inline void
+gsInChunk(__m512i &x, __m512i &y, const ntt::NttTables &tables, size_t c,
+          __m512i q, __m512i two_q)
+{
+    const size_t k = chunkTwiddle<T>(tables.degree(), c);
+    const __m512i phi =
+        _mm512_srli_epi64(spread<T>(tables.invRootPowersShoup() + k), 32);
+    gsButterfly(x, y, spread<T>(tables.invRootPowers() + k), phi, q,
+                two_q);
+}
+
 void
 nttForwardAvx512(uint64_t *a, const ntt::NttTables &tables)
 {
-    const rns::Modulus &mod = tables.modulus();
-    const uint64_t qv = mod.value();
+    const uint64_t qv = tables.modulus().value();
     const size_t n = tables.degree();
     if (!eligibleModulus(qv) || n < 16) {
         ntt::forwardNttScalar({a, n}, tables);
         return;
     }
-    const uint64_t two_q = 2 * qv;
     const __m512i vq = set1(qv);
-    const __m512i v2q = set1(two_q);
+    const __m512i v2q = set1(2 * qv);
 
-    size_t t = n;
-    for (size_t m = 1; m < n; m <<= 1) {
-        t >>= 1;
-        if (t >= 8) {
-            for (size_t i = 0; i < m; ++i) {
-                const size_t j1 = 2 * i * t;
-                const __m512i vw = set1(tables.rootPower(m + i));
-                const __m512i vphi =
-                    set1(tables.rootPowerShoup(m + i) >> 32);
-                for (size_t j = j1; j < j1 + t; j += 8) {
-                    __m512i u = csub(load(a + j), v2q);
-                    const __m512i v =
-                        mulShoupLazy32(load(a + j + t), vw, vphi, vq);
-                    store(a + j, _mm512_add_epi64(u, v));
-                    store(a + j + t,
-                          _mm512_add_epi64(_mm512_sub_epi64(u, v), v2q));
-                }
-            }
-        } else {
-            for (size_t i = 0; i < m; ++i) {
-                const size_t j1 = 2 * i * t;
-                const uint64_t w = tables.rootPower(m + i);
-                const uint64_t w_shoup = tables.rootPowerShoup(m + i);
-                for (size_t j = j1; j < j1 + t; ++j) {
-                    uint64_t u = a[j];
-                    if (u >= two_q)
-                        u -= two_q;
-                    const uint64_t v =
-                        mod.mulShoupLazy(a[j + t], w, w_shoup);
-                    a[j] = u + v;
-                    a[j + t] = u - v + two_q;
-                }
+    size_t m = 1;
+    for (size_t t = n >> 1; t >= 16; t >>= 1, m <<= 1) {
+        for (size_t i = 0; i < m; ++i) {
+            const size_t j1 = 2 * i * t;
+            const __m512i vw = set1(tables.rootPower(m + i));
+            const __m512i vphi =
+                set1(tables.rootPowerShoup(m + i) >> 32);
+            for (size_t j = j1; j < j1 + t; j += 8) {
+                __m512i u = load(a + j);
+                __m512i v = load(a + j + t);
+                ctButterfly(u, v, vw, vphi, vq, v2q);
+                store(a + j, u);
+                store(a + j + t, v);
             }
         }
     }
-    for (size_t j = 0; j < n; j += 8)
-        store(a + j, csub(csub(load(a + j), v2q), vq));
+
+    // The last four stages (t = 8, 4, 2, 1) and the final
+    // normalization, fused: each chunk stays in registers from load to
+    // store. Stage t = 8 pairs the chunk's two halves as loaded.
+    const SubLaneMaps maps;
+    for (size_t c = 0; c < n / 16; ++c) {
+        __m512i x = load(a + 16 * c);
+        __m512i y = load(a + 16 * c + 8);
+        ctInChunk<8>(x, y, tables, c, vq, v2q);
+        regroup(x, y, maps.t4);
+        ctInChunk<4>(x, y, tables, c, vq, v2q);
+        regroup(x, y, maps.t4_t2);
+        ctInChunk<2>(x, y, tables, c, vq, v2q);
+        regroup(x, y, maps.t2_t1);
+        ctInChunk<1>(x, y, tables, c, vq, v2q);
+        x = csub(csub(x, v2q), vq);
+        y = csub(csub(y, v2q), vq);
+        regroup(x, y, maps.from_t1);
+        store(a + 16 * c, x);
+        store(a + 16 * c + 8, y);
+    }
 }
 
 void
 nttInverseAvx512(uint64_t *a, const ntt::NttTables &tables)
 {
-    const rns::Modulus &mod = tables.modulus();
-    const uint64_t qv = mod.value();
+    const uint64_t qv = tables.modulus().value();
     const size_t n = tables.degree();
     if (!eligibleModulus(qv) || n < 16) {
         ntt::inverseNttScalar({a, n}, tables);
         return;
     }
-    const uint64_t two_q = 2 * qv;
     const __m512i vq = set1(qv);
-    const __m512i v2q = set1(two_q);
+    const __m512i v2q = set1(2 * qv);
 
-    size_t t = 1;
-    for (size_t h = n >> 1; h >= 1; h >>= 1) {
-        if (t >= 8) {
-            for (size_t i = 0; i < h; ++i) {
-                const size_t j1 = 2 * i * t;
-                const __m512i vw = set1(tables.invRootPower(h + i));
-                const __m512i vphi =
-                    set1(tables.invRootPowerShoup(h + i) >> 32);
-                for (size_t j = j1; j < j1 + t; j += 8) {
-                    const __m512i u = load(a + j);
-                    const __m512i v = load(a + j + t);
-                    store(a + j, csub(_mm512_add_epi64(u, v), v2q));
-                    const __m512i x =
-                        _mm512_add_epi64(_mm512_sub_epi64(u, v), v2q);
-                    store(a + j + t, mulShoupLazy32(x, vw, vphi, vq));
-                }
-            }
-        } else {
-            for (size_t i = 0; i < h; ++i) {
-                const size_t j1 = 2 * i * t;
-                const uint64_t w = tables.invRootPower(h + i);
-                const uint64_t w_shoup = tables.invRootPowerShoup(h + i);
-                for (size_t j = j1; j < j1 + t; ++j) {
-                    const uint64_t u = a[j];
-                    const uint64_t v = a[j + t];
-                    uint64_t s = u + v;
-                    if (s >= two_q)
-                        s -= two_q;
-                    a[j] = s;
-                    a[j + t] = mod.mulShoupLazy(u - v + two_q, w, w_shoup);
-                }
-            }
-        }
-        t <<= 1;
+    // Stages t = 1, 2, 4, fused per chunk as in the forward transform.
+    const SubLaneMaps maps;
+    for (size_t c = 0; c < n / 16; ++c) {
+        __m512i x = load(a + 16 * c);
+        __m512i y = load(a + 16 * c + 8);
+        regroup(x, y, maps.to_t1);
+        gsInChunk<1>(x, y, tables, c, vq, v2q);
+        regroup(x, y, maps.t2_t1);
+        gsInChunk<2>(x, y, tables, c, vq, v2q);
+        regroup(x, y, maps.t4_t2);
+        gsInChunk<4>(x, y, tables, c, vq, v2q);
+        regroup(x, y, maps.t4);
+        store(a + 16 * c, x);
+        store(a + 16 * c + 8, y);
     }
 
+    for (size_t t = 8; t < n / 2; t <<= 1) {
+        const size_t h = n / (2 * t);
+        for (size_t i = 0; i < h; ++i) {
+            const size_t j1 = 2 * i * t;
+            const __m512i vw = set1(tables.invRootPower(h + i));
+            const __m512i vphi =
+                set1(tables.invRootPowerShoup(h + i) >> 32);
+            for (size_t j = j1; j < j1 + t; j += 8) {
+                __m512i u = load(a + j);
+                __m512i v = load(a + j + t);
+                gsButterfly(u, v, vw, vphi, vq, v2q);
+                store(a + j, u);
+                store(a + j + t, v);
+            }
+        }
+    }
+
+    // Last stage (t = n/2) with the n^{-1} scaling folded in: sums
+    // are scaled by n^{-1}, differences by w * n^{-1}, and both leave
+    // normalized. A sum is below 4q < 2^32, inside the lazy Shoup
+    // product's input range, so it needs no conditional subtract.
+    const size_t t = n / 2;
+    const rns::Modulus &mod = tables.modulus();
+    const uint64_t w_n = mod.mul(tables.invRootPower(1), tables.invDegree());
     const __m512i vn_inv = set1(tables.invDegree());
     const __m512i vphi_n = set1(tables.invDegreeShoup() >> 32);
-    for (size_t j = 0; j < n; j += 8) {
-        const __m512i r =
-            mulShoupLazy32(load(a + j), vn_inv, vphi_n, vq);
-        store(a + j, csub(r, vq));
+    const __m512i vw_n = set1(w_n);
+    const __m512i vphi_wn = set1(mod.shoupPrecompute(w_n) >> 32);
+    for (size_t j = 0; j < t; j += 8) {
+        const __m512i u = load(a + j);
+        const __m512i v = load(a + j + t);
+        const __m512i sum = _mm512_add_epi64(u, v);
+        const __m512i diff = _mm512_add_epi64(_mm512_sub_epi64(u, v), v2q);
+        store(a + j, csub(mulShoupLazy32(sum, vn_inv, vphi_n, vq), vq));
+        store(a + j + t,
+              csub(mulShoupLazy32(diff, vw_n, vphi_wn, vq), vq));
     }
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Internal seams of the SIMD dispatch layer: the scalar kernel bodies
- * (shared by the scalar table and as in-kernel fallbacks / loop tails
- * of the vector translation units) and the constructors of the
- * per-ISA tables. Not installed; include simd/simd.h instead.
+ * (shared by the scalar table and as in-kernel fallbacks / element-wise
+ * loop remainders of the vector translation units) and the
+ * constructors of the per-ISA tables. Not installed; include
+ * simd/simd.h instead.
  */
 
 #ifndef HEAT_SIMD_SIMD_INTERNAL_H
@@ -14,9 +15,11 @@
 namespace heat::simd::detail {
 
 // Scalar kernel bodies (the oracle semantics). The vector tables call
-// these for ineligible moduli and for sub-lane-width loop tails, so a
-// vector kernel's output is the scalar output by construction wherever
-// it does not vectorize.
+// these for ineligible moduli, for NTT degrees below two vectors, and
+// for the element-wise kernels' sub-vector loop remainders, so a vector
+// kernel's output is the scalar output by construction wherever it does
+// not vectorize. Every NTT stage of an eligible transform is vector
+// code.
 void addModScalar(uint64_t *a, const uint64_t *b, size_t n, uint64_t q);
 void subModScalar(uint64_t *a, const uint64_t *b, size_t n, uint64_t q);
 void negateModScalar(uint64_t *a, size_t n, uint64_t q);

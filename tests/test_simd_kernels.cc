@@ -228,10 +228,14 @@ TEST(SimdKernels, WidePrecisionPrimitivesMatchScalar)
     }
 }
 
+/** NTT degrees under test: n = 8 runs AVX2 on permuted stages only,
+ * n = 16 and 32 are mostly AVX-512 sub-lane stages. */
+const size_t kNttDegrees[] = {8, 16, 32, 64, 256, 1024, 4096, 8192};
+
 TEST(SimdKernels, ForwardNttMatchesScalarOracle)
 {
     Xoshiro256 rng(23);
-    for (size_t degree : {16, 64, 256, 1024, 4096, 8192}) {
+    for (size_t degree : kNttDegrees) {
         for (int bits : {20, 30, 50, 60}) {
             const uint64_t qv =
                 rns::generateNttPrimes(bits, degree, 1)[0];
@@ -265,7 +269,7 @@ TEST(SimdKernels, ForwardNttMatchesScalarOracle)
 TEST(SimdKernels, InverseNttMatchesScalarOracle)
 {
     Xoshiro256 rng(29);
-    for (size_t degree : {16, 64, 256, 1024, 4096, 8192}) {
+    for (size_t degree : kNttDegrees) {
         for (int bits : {20, 30, 50, 60}) {
             const uint64_t qv =
                 rns::generateNttPrimes(bits, degree, 1)[0];
@@ -289,6 +293,72 @@ TEST(SimdKernels, InverseNttMatchesScalarOracle)
                     << simd::levelName(level) << " n=" << degree
                     << " q=" << qv;
             }
+        }
+    }
+}
+
+/**
+ * Every coefficient at the top of its lazy range (4q - 1 into the
+ * forward transform, 2q - 1 into the inverse), at the largest NTT
+ * prime below kLaneModulusBound: 4q - 1 then exceeds 2^31, the least
+ * 32-bit headroom any vector butterfly sees, in every stage and lane
+ * regrouping.
+ */
+TEST(SimdKernels, NttWorstCaseLazyInputsAtWidestLanePrime)
+{
+    for (size_t degree : kNttDegrees) {
+        const uint64_t qv = rns::generateNttPrimes(30, degree, 1)[0];
+        ASSERT_TRUE(simd::eligibleModulus(qv));
+        ASSERT_GT(4 * qv - 1, uint64_t(1) << 31);
+        const ntt::NttTables tables(Modulus(qv), degree);
+
+        const std::vector<uint64_t> fwd_input(degree, 4 * qv - 1);
+        auto fwd_expect = fwd_input;
+        ntt::forwardNttScalar(fwd_expect, tables);
+        const std::vector<uint64_t> inv_input(degree, 2 * qv - 1);
+        auto inv_expect = inv_input;
+        ntt::inverseNttScalar(inv_expect, tables);
+
+        for (Level level : availableLevels()) {
+            auto got = fwd_input;
+            simd::kernelsFor(level).ntt_forward(got.data(), tables);
+            EXPECT_EQ(fwd_expect, got)
+                << "forward " << simd::levelName(level) << " n=" << degree;
+            got = inv_input;
+            simd::kernelsFor(level).ntt_inverse(got.data(), tables);
+            EXPECT_EQ(inv_expect, got)
+                << "inverse " << simd::levelName(level) << " n=" << degree;
+        }
+    }
+}
+
+/** NTT, pointwise mul_mod, inverse NTT on each table equals the
+ * schoolbook negacyclic product, on the n = 256 ring of the PIR
+ * workloads. */
+TEST(SimdKernels, NttPointwiseProductMatchesNegacyclicReference)
+{
+    Xoshiro256 rng(37);
+    const size_t degree = 256;
+    for (int bits : {20, 30}) {
+        const uint64_t qv = rns::generateNttPrimes(bits, degree, 1)[0];
+        const Modulus q(qv);
+        const ntt::NttTables tables(q, degree);
+        std::vector<uint64_t> a(degree), b(degree), expect(degree);
+        for (size_t i = 0; i < degree; ++i) {
+            a[i] = rng.uniformBelow(qv);
+            b[i] = rng.uniformBelow(qv);
+        }
+        ntt::negacyclicMulReference(a, b, expect, q);
+        for (Level level : availableLevels()) {
+            const Kernels &k = simd::kernelsFor(level);
+            auto fa = a;
+            auto fb = b;
+            k.ntt_forward(fa.data(), tables);
+            k.ntt_forward(fb.data(), tables);
+            k.mul_mod(fa.data(), fb.data(), degree, q);
+            k.ntt_inverse(fa.data(), tables);
+            EXPECT_EQ(expect, fa)
+                << simd::levelName(level) << " q=" << qv;
         }
     }
 }

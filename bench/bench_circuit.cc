@@ -13,12 +13,14 @@
  *    compiler::runCircuitOpByOp — one host round trip and
  *    per-instruction dispatch for every node (the single-op serving
  *    model);
- *  - fused wall op/s: host wall clock of the functional simulation.
+ *  - fused wall op/s: host wall clock of the functional simulation,
+ *    the median over timed batches after an untimed warm-up batch.
  *
  * Exit status is the CI gate: fused modeled throughput must be
  * strictly above unfused.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <vector>
@@ -87,27 +89,43 @@ main(int argc, char **argv)
         encryptor.encrypt(randomPlain(*params, 2))};
 
     // --- fused: through the serving layer at workers=1 ------------------
+    // The first batch is untimed: it pays the worker's one-time costs,
+    // such as growing the memory file's storage, and gives the modeled
+    // figure. The wall figure is the median of the timed
+    // batches that follow, so one preempted batch cannot move it.
     const size_t circuits = 4;
+    const int timed_batches = 7;
     service::ServiceConfig cfg;
     cfg.workers = 1;
     service::ExecutionService svc(params, rlk, cfg);
+    const auto runBatch = [&] {
+        std::vector<std::future<std::vector<fv::Ciphertext>>> futures;
+        for (size_t i = 0; i < circuits; ++i)
+            futures.push_back(svc.submitCircuit(circuit, inputs));
+        for (auto &f : futures)
+            f.get();
+    };
 
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::future<std::vector<fv::Ciphertext>>> futures;
-    for (size_t i = 0; i < circuits; ++i)
-        futures.push_back(svc.submitCircuit(circuit, inputs));
-    for (auto &f : futures)
-        f.get();
-    const auto t1 = std::chrono::steady_clock::now();
+    runBatch();
     svc.drain();
-
     const service::ServiceStats stats = svc.stats();
-    const double wall_s = std::chrono::duration<double>(t1 - t0).count();
     const double fused_modeled =
         static_cast<double>(stats.circuit_nodes_completed) /
         stats.makespan_us * 1e6;
-    const double fused_wall =
-        static_cast<double>(stats.circuit_nodes_completed) / wall_s;
+    std::vector<double> batch_ops_per_sec;
+    for (int b = 0; b < timed_batches; ++b) {
+        const auto t0 = std::chrono::steady_clock::now();
+        runBatch();
+        const auto t1 = std::chrono::steady_clock::now();
+        batch_ops_per_sec.push_back(
+            static_cast<double>(stats.circuit_nodes_completed) /
+            std::chrono::duration<double>(t1 - t0).count());
+    }
+    svc.drain();
+    const auto mid = batch_ops_per_sec.begin() + timed_batches / 2;
+    std::nth_element(batch_ops_per_sec.begin(), mid,
+                     batch_ops_per_sec.end());
+    const double fused_wall = *mid;
 
     // --- unfused: per-op round trips on one coprocessor -----------------
     hw::Coprocessor cp(params, cfg.hw, &rlk);

@@ -1,8 +1,20 @@
 #include "hw/memory_file.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/panic.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define HEAT_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define HEAT_ASAN 1
+#endif
+#endif
+#ifdef HEAT_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace heat::hw {
 
@@ -80,15 +92,48 @@ MemoryFile::resetToPinned()
     level_ = 0;
 }
 
-PolyId
-MemoryFile::allocate(BaseTag tag, Layout layout, const char *what)
+size_t
+MemoryFile::storageBytes() const
 {
-    return allocateAt(tag, layout, level_, what);
+    size_t words = 0;
+    for (const std::vector<uint64_t> &buf : storage_)
+        words += buf.size();
+    return words * sizeof(uint64_t);
+}
+
+std::span<uint64_t>
+MemoryFile::storageView(PolyId id, size_t words, size_t keep)
+{
+    if (id >= storage_.size())
+        storage_.resize(id + 1);
+    std::vector<uint64_t> &buf = storage_[id];
+    if (buf.size() < words) {
+        // Exact-size growth: the buffers are held for good, so no
+        // geometric slack.
+        std::vector<uint64_t> grown(words);
+        std::copy_n(buf.begin(), keep, grown.begin());
+        buf = std::move(grown);
+    }
+#ifdef HEAT_ASAN
+    // Fence the buffer beyond the view, so an overrun of a record that
+    // is smaller than its buffer still faults.
+    ASAN_UNPOISON_MEMORY_REGION(buf.data(), buf.size() * sizeof(uint64_t));
+    ASAN_POISON_MEMORY_REGION(buf.data() + words,
+                              (buf.size() - words) * sizeof(uint64_t));
+#endif
+    return {buf.data(), words};
+}
+
+PolyId
+MemoryFile::allocate(BaseTag tag, Layout layout, const char *what,
+                     bool zeroed)
+{
+    return allocateAt(tag, layout, level_, what, zeroed);
 }
 
 PolyId
 MemoryFile::allocateAt(BaseTag tag, Layout layout, size_t level,
-                       const char *what)
+                       const char *what, bool zeroed)
 {
     panicIf(level > params_->maxLevel(), "allocation level out of range");
     const size_t live = liveResidues(tag, level);
@@ -104,14 +149,17 @@ MemoryFile::allocateAt(BaseTag tag, Layout layout, size_t level,
     in_use_ += live;
     peak_ = std::max(peak_, in_use_);
 
+    const auto id = static_cast<PolyId>(records_.size());
     PolyRecord rec;
     rec.base = tag;
     rec.level = level;
     rec.layout.assign(live, layout);
-    rec.data.assign(live * params_->degree(), 0);
+    rec.data = storageView(id, live * params_->degree(), 0);
+    if (zeroed)
+        std::fill(rec.data.begin(), rec.data.end(), 0);
     rec.valid = true;
     records_.push_back(std::move(rec));
-    return static_cast<PolyId>(records_.size() - 1);
+    return id;
 }
 
 void
@@ -120,8 +168,7 @@ MemoryFile::free(PolyId id)
     release(id);
     PolyRecord &rec = records_[id];
     rec.valid = false;
-    rec.data.clear();
-    rec.data.shrink_to_fit();
+    rec.data = {};
 }
 
 void
@@ -157,7 +204,7 @@ MemoryFile::extendToFull(PolyId id, const char *what)
     rec.base = BaseTag::kFull;
     const size_t live = liveResidues(BaseTag::kFull, rec.level);
     rec.layout.resize(live, Layout::kNatural);
-    rec.data.resize(live * params_->degree(), 0);
+    rec.data = storageView(id, live * params_->degree(), rec.data.size());
 }
 
 namespace {
@@ -204,8 +251,9 @@ MemoryFile::import(const ntt::RnsPoly &poly, Layout layout)
         poly.residueCount() == params_->qBase(level)->size()
             ? BaseTag::kQ
             : BaseTag::kFull;
-    PolyId id = allocateAt(tag, layout, level, "operand import");
-    record(id).data = poly.data();
+    PolyId id = allocateAt(tag, layout, level, "operand import", false);
+    std::copy(poly.data().begin(), poly.data().end(),
+              record(id).data.begin());
     return id;
 }
 
@@ -217,7 +265,7 @@ MemoryFile::exportPoly(PolyId id) const
                           ? params_->qBase(rec.level)
                           : params_->fullBase(rec.level);
     ntt::RnsPoly poly(base, params_->degree(), ntt::PolyForm::kCoeff);
-    poly.data() = rec.data;
+    poly.data().assign(rec.data.begin(), rec.data.end());
     return poly;
 }
 
@@ -268,7 +316,8 @@ CountingAllocator::overflow(size_t need, const char *what) const
 }
 
 PolyId
-CountingAllocator::allocate(BaseTag tag, Layout layout, const char *what)
+CountingAllocator::allocate(BaseTag tag, Layout layout, const char *what,
+                            bool zeroed)
 {
     const size_t need = liveResidues(tag, level_);
     if (in_use_ + need > capacity_)
@@ -277,8 +326,8 @@ CountingAllocator::allocate(BaseTag tag, Layout layout, const char *what)
     peak_ = std::max(peak_, in_use_);
     records_.push_back(Rec{tag, level_, false});
     const PolyId id = static_cast<PolyId>(records_.size() - 1);
-    actions_.push_back(
-        SlotAction{SlotAction::Kind::kAllocate, id, tag, layout, level_});
+    actions_.push_back(SlotAction{SlotAction::Kind::kAllocate, id, tag,
+                                  layout, level_, zeroed});
     return id;
 }
 
@@ -318,7 +367,8 @@ replaySlotActions(MemoryFile &memory, std::span<const SlotAction> actions)
         switch (action.kind) {
           case SlotAction::Kind::kAllocate: {
             memory.setLevel(action.level);
-            const PolyId id = memory.allocate(action.base, action.layout);
+            const PolyId id = memory.allocate(action.base, action.layout,
+                                              nullptr, action.zeroed);
             panicIf(id != action.id,
                     "slot replay diverged: allocated id ", id,
                     " where the compiled program expects ", action.id,

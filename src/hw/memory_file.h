@@ -24,6 +24,16 @@
  * kNatural (coefficient order, what Lift/Scale stream), kPaired (the
  * bit-reversed paired-word order the NTT engine consumes — REARRANGE
  * converts), and kNttDomain (evaluation order).
+ *
+ * Like the paper's BRAM array, the memory file's storage is allocated
+ * once and reused: record id i always lives in storage buffer i, which
+ * survives reset() and resetToPinned() and only grows when a larger
+ * record or a Lift extension needs more words. A record's data is an
+ * exact-size view into its buffer, so replaying a program's slots a
+ * second time allocates nothing. Reused storage is not cleared: only a
+ * record allocated `zeroed` (the emitters' shared zero constant) reads
+ * as zero before it is written; every other record holds unspecified
+ * words — possibly an earlier program's — until written.
  */
 
 #ifndef HEAT_HW_MEMORY_FILE_H
@@ -127,6 +137,9 @@ struct SlotAction
     Layout layout = Layout::kNatural;
     /** Modulus-switching level of the allocation (kAllocate only). */
     size_t level = 0;
+    /** The allocation must read as zero before it is written
+     *  (kAllocate only; see SlotAllocator::allocate). */
+    bool zeroed = false;
 
     bool operator==(const SlotAction &o) const = default;
 };
@@ -144,15 +157,25 @@ class SlotAllocator
     /**
      * Allocate a polynomial over base @p tag. @p what names the
      * requesting operation for slot-pressure diagnostics (may be null).
+     * With @p zeroed the record reads as zero until written; otherwise
+     * its data is unspecified and must be written before it is read
+     * (the verifier rejects programs that do not).
      */
-    virtual PolyId allocate(BaseTag tag, Layout layout,
-                            const char *what) = 0;
+    virtual PolyId allocate(BaseTag tag, Layout layout, const char *what,
+                            bool zeroed) = 0;
+
+    /** Allocation whose data is written before it is read. */
+    PolyId
+    allocate(BaseTag tag, Layout layout, const char *what)
+    {
+        return allocate(tag, layout, what, false);
+    }
 
     /** Convenience overload without a requester label. */
     PolyId
     allocate(BaseTag tag, Layout layout = Layout::kNatural)
     {
-        return allocate(tag, layout, nullptr);
+        return allocate(tag, layout, nullptr, false);
     }
 
     /** Return a polynomial's slots to the allocator. */
@@ -210,8 +233,13 @@ struct PolyRecord
     size_t level = 0;
     /** Layout per residue (size = live residue count). */
     std::vector<Layout> layout;
-    /** Residue-major coefficient data. */
-    std::vector<uint64_t> data;
+    /**
+     * Residue-major coefficient data: an exact-size view (live residues
+     * times n words) into the memory file's storage buffer for this
+     * record id. The view stays valid until the record's id is
+     * allocated again after a reset, or the record is extended.
+     */
+    std::span<uint64_t> data;
     bool valid = false;
     /** Slots returned to the allocator (record still readable). */
     bool released = false;
@@ -244,7 +272,8 @@ class MemoryFile : public SlotAllocator
      * between op schedules (a Mult program alone peaks at 78 of the 84
      * slots, so programs for different operations cannot stay resident
      * simultaneously). Also clears the peak-slot watermark and any
-     * pinned prefix.
+     * pinned prefix. The storage buffers are kept for the next
+     * program's records.
      */
     void reset();
 
@@ -275,10 +304,16 @@ class MemoryFile : public SlotAllocator
      */
     void resetToPinned();
 
-    /** Allocate a zeroed polynomial over base @p tag. Exhaustion is a
-     *  hard error reporting the live/capacity slot pressure and the
-     *  requesting operation. */
-    PolyId allocate(BaseTag tag, Layout layout, const char *what) override;
+    /**
+     * Allocate a polynomial over base @p tag; it takes the next id and
+     * that id's storage buffer. Its data is all zero when @p zeroed;
+     * otherwise it is unspecified (the buffer's earlier contents) and
+     * the caller must write every residue before reading it.
+     * Exhaustion is a hard error reporting the live/capacity slot
+     * pressure and the requesting operation.
+     */
+    PolyId allocate(BaseTag tag, Layout layout, const char *what,
+                    bool zeroed) override;
 
     /** Release a polynomial's slots and invalidate the record. */
     void free(PolyId id);
@@ -293,7 +328,9 @@ class MemoryFile : public SlotAllocator
      */
     void release(PolyId id) override;
 
-    /** Extend a q-base polynomial to the full base (Lift allocation). */
+    /** Extend a q-base polynomial to the full base (Lift allocation).
+     *  The q residues keep their data; the extension residues are
+     *  unspecified until the Lift writes them. */
     void extendToFull(PolyId id, const char *what) override;
 
     /** @return mutable record (must be valid). */
@@ -332,9 +369,16 @@ class MemoryFile : public SlotAllocator
     /** Parameter set. */
     const fv::FvParams &params() const { return *params_; }
 
+    /** @return bytes of record storage held (kept across resets). */
+    size_t storageBytes() const;
+
   private:
     PolyId allocateAt(BaseTag tag, Layout layout, size_t level,
-                      const char *what);
+                      const char *what, bool zeroed);
+
+    /** @return a @p words view of record @p id's storage buffer, grown
+     *  if needed; growth keeps the first @p keep words. */
+    std::span<uint64_t> storageView(PolyId id, size_t words, size_t keep);
 
     std::shared_ptr<const fv::FvParams> params_;
     size_t capacity_;
@@ -345,6 +389,8 @@ class MemoryFile : public SlotAllocator
     size_t pinned_records_ = 0;
     size_t pinned_slots_ = 0;
     std::vector<PolyRecord> records_;
+    /** Storage buffer per record id; never shrinks. */
+    std::vector<std::vector<uint64_t>> storage_;
 };
 
 /**
@@ -369,7 +415,8 @@ class CountingAllocator : public SlotAllocator
     using SlotAllocator::allocate;
     using SlotAllocator::extendToFull;
 
-    PolyId allocate(BaseTag tag, Layout layout, const char *what) override;
+    PolyId allocate(BaseTag tag, Layout layout, const char *what,
+                    bool zeroed) override;
     void release(PolyId id) override;
     void extendToFull(PolyId id, const char *what) override;
 
@@ -406,7 +453,8 @@ class CountingAllocator : public SlotAllocator
 
 /**
  * Re-execute a recorded allocation sequence against @p memory,
- * materializing the same polynomial ids (panics on divergence — the
+ * materializing the same polynomial ids and zeroing exactly the
+ * records the log allocated `zeroed` (panics on divergence — the
  * memory file was not in the expected state, usually because it was
  * not freshly reset).
  */

@@ -39,7 +39,7 @@ OpEmitter::zeroSlot()
         const size_t level = alloc_.level();
         alloc_.setLevel(0);
         zero_ = alloc_.allocate(BaseTag::kQ, Layout::kNatural,
-                                "zero constant");
+                                "zero constant", /*zeroed=*/true);
         alloc_.setLevel(level);
     }
     return zero_;

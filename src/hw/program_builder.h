@@ -198,8 +198,8 @@ class OpEmitter
     PolyId copyPoly(PolyId src);
 
     /**
-     * The shared all-zero q polynomial (allocated on first use; freshly
-     * allocated records are zeroed, and the slot is only ever read).
+     * The shared all-zero q polynomial (allocated `zeroed` on first
+     * use, and the slot is only ever read).
      */
     PolyId zeroSlot();
 

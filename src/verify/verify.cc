@@ -40,9 +40,12 @@ layoutName(Layout l)
  * slot-action log exactly the way replaySlotActions() does before a
  * run: records carry their final (extend-applied) shape, and the
  * interpreter tracks per-residue layout typestate plus definedness.
- * A freshly allocated record reads back zeros (the emitters' shared
- * zero constant depends on it), so `written` distinguishes "zero by
- * allocation" from "produced by an upload or instruction".
+ * The memory file reuses its storage across programs, so a fresh
+ * record holds an earlier program's words — except a record the log
+ * allocates `zeroed` (the emitters' shared zero constant), whose
+ * allocation residues read as zero until written. `written` marks
+ * residues produced by an upload or instruction; `zero` marks the
+ * unwritten residues that still read as zero.
  */
 /** Residue capacity of a record's inline state. The paper's extended
  *  base spans 13 residues; structurallySound() rejects parameter sets
@@ -64,8 +67,14 @@ struct RecState
     size_t live = 0;
     std::array<Layout, kMaxResidues> layout{};
     std::array<bool, kMaxResidues> written{};
+    /** Bit k: residue k reads as zero by a `zeroed` allocation. */
+    uint64_t zero = 0;
+    static_assert(kMaxResidues <= 64, "one zero bit per residue");
 
     size_t residues() const { return live; }
+
+    /** @return whether unwritten residue @p k reads as zero. */
+    bool readsZero(size_t k) const { return ((zero >> k) & 1) != 0; }
 };
 
 /** The verification pass: one instance per verifyCompiledCircuit. */
@@ -370,6 +379,10 @@ class Verifier
                 rec.q_live = qPrimes(act.level);
                 rec.live = live;
                 rec.layout.fill(act.layout);
+                if (act.zeroed)
+                    rec.zero = live >= kMaxResidues
+                                   ? ~uint64_t(0)
+                                   : (uint64_t(1) << live) - 1;
                 rec.pinned = act.id < pinned_count;
                 if (rec.pinned) {
                     // The cold pass uploads pinned operands directly
@@ -902,10 +915,11 @@ class Verifier
                                                  : "q base";
             return;
         }
-        // The reads may legitimately hit a never-written record: the
-        // emitters' shared zero constant is a freshly-allocated (and
-        // therefore zeroed) slot that only ever feeds additive ops.
-        const bool zero_ok = in.op != Opcode::kCoeffMul;
+        // An unwritten residue may be read only where it reads as zero
+        // — a record allocated `zeroed`, the emitters' shared zero
+        // constant — and only by an additive op, the zero constant's
+        // contract. Any other record's storage holds stale words.
+        const bool additive = in.op != Opcode::kCoeffMul;
         const auto [lo, hi] = batchRange(*dst, in.batch);
         for (size_t k = lo; k < hi; ++k) {
             if (k >= a->residues() || k >= b->residues()) {
@@ -920,12 +934,17 @@ class Verifier
                     std::to_string(small->residues()) + " residues";
                 return;
             }
-            if ((!a->written[k] && !zero_ok) ||
-                (!b->written[k] && !zero_ok)) {
+            const bool a_ok =
+                a->written[k] || (additive && a->readsZero(k));
+            const bool b_ok =
+                b->written[k] || (additive && b->readsZero(k));
+            if (!a_ok || !b_ok) {
                 diagAt(Invariant::kDefBeforeUse, s, i, in.op,
-                       !a->written[k] ? in.src0 : in.src1,
-                       "multiplicative coeff op reads residues "
-                       "nothing ever wrote");
+                       !a_ok ? in.src0 : in.src1,
+                       additive ? "coeff op reads residues nothing "
+                                  "ever wrote (not a zeroed record)"
+                                : "multiplicative coeff op reads "
+                                  "residues nothing ever wrote");
                 return;
             }
             if (a->layout[k] != b->layout[k]) {
@@ -1058,6 +1077,7 @@ class Verifier
                     std::to_string(dig->residues()) + " residues";
                 return;
             }
+            dig->zero = 0; // residues past kq keep stale words
             for (size_t k = 0; k < dig->residues(); ++k) {
                 dig->layout[k] = Layout::kNatural;
                 dig->written[k] = k < kq;
@@ -1224,6 +1244,7 @@ class Verifier
                     std::to_string(dig->residues()) + " residues";
                 return;
             }
+            dig->zero = 0; // residues past kq keep stale words
             for (size_t k = 0; k < dig->residues(); ++k) {
                 dig->layout[k] = Layout::kNatural;
                 dig->written[k] = k < kq;

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "common/panic.h"
 #include "compiler/compiler.h"
@@ -175,6 +178,62 @@ TEST(MemoryFile, ImportExportRoundTrip)
     }
     PolyId id = mem.import(poly, Layout::kNatural);
     EXPECT_EQ(mem.exportPoly(id).data(), poly.data());
+}
+
+TEST(MemoryFile, StorageSurvivesReset)
+{
+    SmallRig rig;
+    MemoryFile mem(rig.params, rig.config);
+    const PolyId a = mem.allocate(BaseTag::kQ);
+    std::fill(mem.record(a).data.begin(), mem.record(a).data.end(), 7);
+    const PolyId b = mem.allocate(BaseTag::kQ);
+    std::fill(mem.record(b).data.begin(), mem.record(b).data.end(), 9);
+    mem.extendToFull(b);
+    const size_t n = rig.params->degree();
+    const size_t kq = mem.residueCount(BaseTag::kQ);
+    const size_t kfull = mem.residueCount(BaseTag::kFull);
+    // Views are exact-size; an extension keeps the q residues.
+    EXPECT_EQ(mem.record(a).data.size(), kq * n);
+    ASSERT_EQ(mem.record(b).data.size(), kfull * n);
+    for (size_t j = 0; j < kq * n; ++j)
+        ASSERT_EQ(mem.record(b).data[j], 9u) << j;
+    const size_t bytes = mem.storageBytes();
+    EXPECT_EQ(bytes, (kq + kfull) * n * sizeof(uint64_t));
+
+    // Same shapes after a reset: no new storage, and a zeroed
+    // allocation clears the stale words it lands on.
+    mem.reset();
+    const PolyId z = mem.allocate(BaseTag::kQ, Layout::kNatural, "zero",
+                                  /*zeroed=*/true);
+    EXPECT_EQ(z, a);
+    for (uint64_t w : mem.record(z).data)
+        ASSERT_EQ(w, 0u);
+    mem.allocate(BaseTag::kFull);
+    EXPECT_EQ(mem.storageBytes(), bytes);
+}
+
+TEST(MemoryFile, ReplayZeroesExactlyTheZeroedAllocations)
+{
+    SmallRig rig;
+    CountingAllocator counting(*rig.params, rig.config);
+    const PolyId plain = counting.allocate(BaseTag::kQ);
+    const PolyId zero = counting.allocate(BaseTag::kQ, Layout::kNatural,
+                                          "zero constant", true);
+    ASSERT_EQ(counting.actions().size(), 2u);
+    EXPECT_FALSE(counting.actions()[0].zeroed);
+    EXPECT_TRUE(counting.actions()[1].zeroed);
+
+    MemoryFile mem(rig.params, rig.config);
+    replaySlotActions(mem, counting.actions());
+    for (PolyId id : {plain, zero})
+        std::fill(mem.record(id).data.begin(), mem.record(id).data.end(),
+                  5);
+    mem.reset();
+    replaySlotActions(mem, counting.actions());
+    for (uint64_t w : mem.record(zero).data)
+        ASSERT_EQ(w, 0u);
+    // The other record is not cleared: it keeps the stale words.
+    EXPECT_EQ(mem.record(plain).data[0], 5u);
 }
 
 TEST(CompiledMult, MatchesTableIIInstructionMix)
@@ -416,6 +475,224 @@ TEST(HeatSystem, TraditionalArchitectureIsSlower)
     EXPECT_GT(slow_ms, fast_ms);
     EXPECT_LT(slow_ms, 2.2 * fast_ms);
     EXPECT_NEAR(slow_ms, 8.3, 1.2);
+}
+
+// --- storage reuse across requests ----------------------------------------
+//
+// The memory file keeps its record storage across reset() and
+// resetToPinned() and does not clear it, so every program must write a
+// record before reading it. Each request below runs on one shared
+// coprocessor, whose buffers hold every earlier request's words, and
+// must be bit-identical to the same request on a fresh coprocessor.
+
+compiler::CompiledCircuit
+compileSmall(const SmallRig &rig, const compiler::Circuit &circuit,
+             std::vector<uint32_t> resident = {})
+{
+    compiler::CompilerOptions options;
+    options.hw = rig.config;
+    options.noise_check = compiler::NoiseCheck::kOff;
+    options.resident_inputs = std::move(resident);
+    return compiler::compileCircuit(rig.params, circuit, options);
+}
+
+/** The depth-4 multiply chain (a * c)^8 with relinearization. */
+compiler::Circuit
+chainCircuit()
+{
+    compiler::CircuitBuilder b;
+    const compiler::ValueId xa = b.input();
+    const compiler::ValueId xc = b.input();
+    compiler::ValueId acc = b.mult(xa, xc);
+    for (int d = 1; d < 4; ++d)
+        acc = b.mult(acc, acc);
+    b.output(acc);
+    return b.build();
+}
+
+constexpr size_t kPirShards = 4;
+
+/** PIR selection sum_k sel_k * db_k + query over resident shards. */
+compiler::Circuit
+pirCircuit(const SmallRig &rig)
+{
+    compiler::CircuitBuilder b;
+    std::vector<compiler::ValueId> db;
+    for (size_t k = 0; k < kPirShards; ++k)
+        db.push_back(b.input());
+    const compiler::ValueId query = b.input();
+    compiler::ValueId acc = compiler::kNoValue;
+    for (size_t k = 0; k < kPirShards; ++k) {
+        const compiler::ValueId sel =
+            b.multPlain(db[k], rig.somePlain(40 + k));
+        acc = k == 0 ? sel : b.add(acc, sel);
+    }
+    b.output(b.add(acc, query));
+    return b.build();
+}
+
+/** Negation, subtraction and a product: reads the zero constant. */
+compiler::Circuit
+mixedCircuit()
+{
+    compiler::CircuitBuilder b;
+    const compiler::ValueId x = b.input();
+    const compiler::ValueId y = b.input();
+    b.output(b.sub(b.negate(b.mult(x, y)), x));
+    return b.build();
+}
+
+struct StorageRig : SmallRig
+{
+    StorageRig()
+        : chain(compileSmall(*this, chainCircuit())),
+          pir(compileSmall(*this, pirCircuit(*this), {0, 1, 2, 3})),
+          add(compileSmall(
+              *this, compiler::singleOpCircuit(compiler::NodeKind::kAdd))),
+          mult(compileSmall(
+              *this, compiler::singleOpCircuit(compiler::NodeKind::kMult)))
+    {
+        for (uint64_t k = 0; k < 2; ++k)
+            pair.push_back(encryptor->encrypt(somePlain(50 + k)));
+        for (uint64_t k = 0; k <= kPirShards; ++k)
+            pir_inputs.push_back(encryptor->encrypt(somePlain(60 + k)));
+        warm_query.push_back(encryptor->encrypt(somePlain(70)));
+    }
+
+    std::unique_ptr<Coprocessor>
+    coprocessor() const
+    {
+        return std::make_unique<Coprocessor>(params, config, &rlk);
+    }
+
+    std::vector<Ciphertext>
+    runChain(Coprocessor &cp) const
+    {
+        return compiler::runCompiledCircuit(cp, chain, pair);
+    }
+
+    std::vector<Ciphertext>
+    runPirCold(Coprocessor &cp) const
+    {
+        return compiler::runCompiledCircuit(cp, pir, pir_inputs);
+    }
+
+    std::vector<Ciphertext>
+    runOne(Coprocessor &cp, const compiler::CompiledCircuit &c) const
+    {
+        return compiler::runCompiledCircuit(
+            cp, c, pair, nullptr, DispatchMode::kPerInstruction);
+    }
+
+    std::vector<Ciphertext>
+    runOpByOp(Coprocessor &cp) const
+    {
+        return compiler::runCircuitOpByOp(cp, params, mixedCircuit(),
+                                          pair);
+    }
+
+    compiler::CompiledCircuit chain, pir, add, mult;
+    std::vector<Ciphertext> pair, pir_inputs, warm_query;
+};
+
+TEST(StorageReuse, RequestsOnOneCoprocessorMatchFreshCoprocessors)
+{
+    const StorageRig rig;
+    const auto shared = rig.coprocessor();
+    const auto fresh = [&] { return rig.coprocessor(); };
+    ASSERT_EQ(rig.runChain(*fresh()).size(), 1u);
+
+    EXPECT_TRUE(rig.runChain(*shared) == rig.runChain(*fresh()))
+        << "mult4 chain";
+    EXPECT_TRUE(rig.runPirCold(*shared) == rig.runPirCold(*fresh()))
+        << "PIR cold";
+    {
+        const auto warm = fresh();
+        rig.runPirCold(*warm);
+        EXPECT_TRUE(compiler::runCompiledCircuitWarm(*shared, rig.pir,
+                                                     rig.warm_query) ==
+                    compiler::runCompiledCircuitWarm(*warm, rig.pir,
+                                                     rig.warm_query))
+            << "PIR warm";
+    }
+    EXPECT_TRUE(rig.runOne(*shared, rig.add) ==
+                rig.runOne(*fresh(), rig.add))
+        << "one-node Add";
+    EXPECT_TRUE(rig.runOne(*shared, rig.mult) ==
+                rig.runOne(*fresh(), rig.mult))
+        << "one-node Mult";
+    EXPECT_TRUE(rig.runOpByOp(*shared) == rig.runOpByOp(*fresh()))
+        << "op-by-op";
+    EXPECT_TRUE(rig.runChain(*shared) == rig.runChain(*fresh()))
+        << "mult4 chain after every other request";
+}
+
+TEST(StorageReuse, SecondIdenticalRequestAddsNoStorage)
+{
+    const StorageRig rig;
+    const auto cp = rig.coprocessor();
+    const auto twice = [&](const char *what, const auto &run) {
+        run();
+        const size_t bytes = cp->memory().storageBytes();
+        EXPECT_GT(bytes, 0u) << what;
+        run();
+        EXPECT_EQ(cp->memory().storageBytes(), bytes) << what;
+    };
+    twice("mult4 chain", [&] { rig.runChain(*cp); });
+    twice("one-node Mult", [&] { rig.runOne(*cp, rig.mult); });
+    twice("op-by-op", [&] { rig.runOpByOp(*cp); });
+    rig.runPirCold(*cp);
+    twice("PIR warm", [&] {
+        compiler::runCompiledCircuitWarm(*cp, rig.pir, rig.warm_query);
+    });
+}
+
+TEST(StorageReuse, IdsFromBeforeAResetStillThrow)
+{
+    const StorageRig rig;
+    const auto cp = rig.coprocessor();
+    rig.runChain(*cp);
+    const PolyId last = rig.chain.slot_actions.back().id;
+    ASSERT_NO_THROW(cp->memory().record(last));
+    cp->reset();
+    EXPECT_THROW(cp->memory().record(0), InvalidRecordError);
+    EXPECT_THROW(cp->memory().record(last), InvalidRecordError);
+
+    rig.runPirCold(*cp);
+    const size_t pinned = cp->memory().pinnedRecords();
+    ASSERT_EQ(pinned, 2 * kPirShards);
+    cp->memory().resetToPinned();
+    EXPECT_NO_THROW(cp->memory().record(PolyId(pinned - 1)));
+    EXPECT_THROW(cp->memory().record(PolyId(pinned)), InvalidRecordError);
+}
+
+TEST(StorageReuse, PinnedDataSurvivesResetToPinned)
+{
+    const StorageRig rig;
+    const auto cp = rig.coprocessor();
+    rig.runPirCold(*cp);
+    MemoryFile &mem = cp->memory();
+    const size_t pinned = mem.pinnedRecords();
+    ASSERT_GT(pinned, 0u);
+    std::vector<std::vector<uint64_t>> before;
+    for (PolyId id = 0; id < pinned; ++id)
+        before.emplace_back(mem.record(id).data.begin(),
+                            mem.record(id).data.end());
+
+    // Warm reruns reuse every buffer past the prefix.
+    for (int round = 0; round < 2; ++round)
+        compiler::runCompiledCircuitWarm(*cp, rig.pir, rig.warm_query);
+    mem.resetToPinned();
+    const PolyId scratch = mem.allocate(BaseTag::kFull);
+    EXPECT_EQ(scratch, pinned);
+    std::fill(mem.record(scratch).data.begin(),
+              mem.record(scratch).data.end(), ~uint64_t(0));
+    for (PolyId id = 0; id < pinned; ++id) {
+        const std::span<const uint64_t> data = mem.record(id).data;
+        EXPECT_TRUE(std::equal(data.begin(), data.end(),
+                               before[id].begin(), before[id].end()))
+            << "pinned record " << id;
+    }
 }
 
 } // namespace

@@ -14,6 +14,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "common/panic.h"
 #include "common/random.h"
@@ -24,6 +26,13 @@
 
 namespace heat::hw {
 namespace {
+
+/** Copy a record's data view into a vector (for EXPECT_EQ). */
+std::vector<uint64_t>
+words(std::span<const uint64_t> data)
+{
+    return {data.begin(), data.end()};
+}
 
 struct ExecRig
 {
@@ -101,7 +110,7 @@ struct ExecRig
  * drivers the coprocessor and the evaluator share.
  */
 std::vector<uint64_t>
-scaleOracle(const fv::FvParams &params, const std::vector<uint64_t> &full,
+scaleOracle(const fv::FvParams &params, std::span<const uint64_t> full,
             bool exact)
 {
     const size_t n = params.degree();
@@ -132,7 +141,7 @@ scaleOracle(const fv::FvParams &params, const std::vector<uint64_t> &full,
  * order (the dropped prime's residue first, then the survivors).
  */
 std::vector<uint64_t>
-modSwitchOracle(const fv::FvParams &params, const std::vector<uint64_t> &q,
+modSwitchOracle(const fv::FvParams &params, std::span<const uint64_t> q,
                 bool exact)
 {
     const size_t n = params.degree();
@@ -172,10 +181,10 @@ expectScaleAndModSwitchMatchOracles(const ExecRig &rig, Coprocessor &cp,
                 ExecRig::instr(Opcode::kModSwitch, switched, q)};
     cp.execute(p);
 
-    EXPECT_EQ(cp.memory().record(scaled).data,
+    EXPECT_EQ(words(cp.memory().record(scaled).data),
               scaleOracle(params, cp.memory().record(full).data, exact));
     EXPECT_EQ(cp.memory().record(switched).level, 1u);
-    EXPECT_EQ(cp.memory().record(switched).data,
+    EXPECT_EQ(words(cp.memory().record(switched).data),
               modSwitchOracle(params, cp.memory().record(q).data, exact));
 }
 
@@ -189,7 +198,7 @@ TEST(HwExec, NttInstructionMatchesSoftwareNtt)
 
     ntt::RnsPoly expect = poly;
     expect.toNtt(rig.params->qContext());
-    EXPECT_EQ(rig.cp->memory().record(id).data, expect.data());
+    EXPECT_EQ(words(rig.cp->memory().record(id).data), expect.data());
 }
 
 TEST(HwExec, InttUndoesNtt)
@@ -201,7 +210,7 @@ TEST(HwExec, InttUndoesNtt)
              ExecRig::instr(Opcode::kNtt, id),
              ExecRig::instr(Opcode::kIntt, id),
              ExecRig::instr(Opcode::kRearrange, id)});
-    EXPECT_EQ(rig.cp->memory().record(id).data, poly.data());
+    EXPECT_EQ(words(rig.cp->memory().record(id).data), poly.data());
     EXPECT_EQ(rig.cp->memory().record(id).layout[0], Layout::kNatural);
 }
 
@@ -224,8 +233,9 @@ TEST(HwExec, CoeffOpsMatchSoftware)
     expect_sum.addInPlace(b);
     ntt::RnsPoly expect_diff = a;
     expect_diff.subInPlace(b);
-    EXPECT_EQ(rig.cp->memory().record(sum).data, expect_sum.data());
-    EXPECT_EQ(rig.cp->memory().record(diff).data, expect_diff.data());
+    EXPECT_EQ(words(rig.cp->memory().record(sum).data), expect_sum.data());
+    EXPECT_EQ(words(rig.cp->memory().record(diff).data),
+              expect_diff.data());
     // Coefficient-domain pointwise product against direct modmul.
     for (size_t k = 0; k < a.residueCount(); ++k) {
         const rns::Modulus &q = rig.params->qBase()->modulus(k);
@@ -324,7 +334,7 @@ TEST(HwExec, ScaleDigitsBroadcastResidues)
     // The destination against the per-coefficient HPS oracle, fed the
     // lifted source record the Scale consumed.
     const auto &dst_rec = rig.cp->memory().record(dst);
-    EXPECT_EQ(dst_rec.data,
+    EXPECT_EQ(words(dst_rec.data),
               scaleOracle(*rig.params, rig.cp->memory().record(src).data,
                           false));
 

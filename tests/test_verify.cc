@@ -527,6 +527,48 @@ TEST(Verify, CatchesUploadLevelMismatch)
     EXPECT_FALSE(result.ok()) << "level-shifted input must not verify";
 }
 
+// 21. An Add reads a record nothing wrote. The memory file reuses its
+//     storage across programs, so only a `zeroed` allocation (the
+//     emitters' zero constant) may be read before it is written.
+TEST(Verify, CatchesAddOfUnwrittenOrdinaryRecord)
+{
+    CompiledCircuit c = multCircuit();
+    // A key-switch accumulation acc += tmp, whose accumulator the first
+    // digit's CoeffMul initializes.
+    hw::PolyId acc = hw::kNoPoly;
+    Instruction *init = nullptr;
+    findInstr(c, [&](const Instruction &i) {
+        if (i.op != Opcode::kCoeffAdd || i.dst != i.src0)
+            return false;
+        Instruction *first = findInstr(
+            c, [&](const Instruction &w) { return w.dst == i.dst; });
+        if (first->op != Opcode::kCoeffMul)
+            return false;
+        acc = i.dst;
+        init = first;
+        return true;
+    });
+    ASSERT_NE(init, nullptr);
+    init->dst = init->src0; // the accumulator is never initialized
+    const Diagnostic d = expectViolation(c, Invariant::kDefBeforeUse);
+    EXPECT_EQ(d.op, Opcode::kCoeffAdd);
+    EXPECT_EQ(d.record, acc);
+}
+
+// 22. The zero constant's allocation loses its `zeroed` bit: the
+//     negation that subtracts from it now reads stale storage.
+TEST(Verify, CatchesZeroConstantWithoutZeroedAllocation)
+{
+    CompiledCircuit c = spillCircuit();
+    const auto it = std::find_if(
+        c.slot_actions.begin(), c.slot_actions.end(),
+        [](const SlotAction &a) { return a.zeroed; });
+    ASSERT_NE(it, c.slot_actions.end());
+    it->zeroed = false;
+    const Diagnostic d = expectViolation(c, Invariant::kDefBeforeUse);
+    EXPECT_EQ(d.record, it->id);
+}
+
 // --- diagnostics carry their coordinates ---------------------------------
 
 TEST(Verify, DiagnosticRendersLocation)

@@ -3,12 +3,14 @@
  * google-benchmark micro suite for the software kernels underpinning
  * both the evaluator and the hardware model: modular reduction variants
  * (Barrett vs Shoup vs the paper's sliding window), NTT transforms
- * across degrees, HPS Lift/Scale per-coefficient kernels, and the
- * high-level evaluator operations on the paper's parameter set.
+ * across degrees, HPS Lift/Scale per-coefficient kernels and row
+ * drivers, and the high-level evaluator operations on the paper's
+ * parameter set.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -17,6 +19,7 @@
 #include "bench_util.h"
 #include "common/parallel.h"
 #include "common/random.h"
+#include "fv/arith.h"
 #include "fv/encryptor.h"
 #include "fv/evaluator.h"
 #include "fv/keygen.h"
@@ -490,6 +493,113 @@ main(int argc, char **argv)
                     kSpeedupDegree, 1);
         json.record("intt_simd_vs_scalar_speedup", intt_speedup, "x",
                     kSpeedupDegree, 1);
+    }
+
+    // The Lift and Scale row drivers at level 0, pinned to each kernel
+    // table: on the paper ring (n = 4096, 6 q / 7 p primes), and on a
+    // 16-q-prime ring of the same degree, whose Block-2 sums take two
+    // 64-bit runs (simd::kHpsRunTerms). Plus the paper ring's two run
+    // back to back on the forced-scalar and the dispatched table for
+    // the CI gate. Each body pins its table, so the interleaved rounds
+    // compare tables under the same host load.
+    {
+        constexpr int kHpsRounds = 51;
+        constexpr int kHpsIters = 3;
+        fv::FvConfig wide_cfg;
+        wide_cfg.degree = 4096;
+        wide_cfg.plain_modulus = 65537;
+        wide_cfg.sigma = 3.2;
+        wide_cfg.q_prime_count = 16;
+        struct Ring
+        {
+            std::string tag;
+            std::shared_ptr<const fv::FvParams> params;
+            std::vector<uint64_t> rows, lifted, scaled;
+        };
+        std::vector<Ring> rings = {{"", fv::FvParams::paper(), {}, {}, {}},
+                                   {"q16/", fv::FvParams::create(wide_cfg),
+                                    {}, {}, {}}};
+        Xoshiro256 rng(17);
+        for (Ring &ring : rings) {
+            const rns::RnsBase &full = *ring.params->fullBase();
+            const size_t n = ring.params->degree();
+            ring.rows.resize(full.size() * n);
+            for (size_t i = 0; i < full.size(); ++i)
+                for (size_t c = 0; c < n; ++c)
+                    ring.rows[i * n + c] =
+                        rng.uniformBelow(full.modulus(i).value());
+            ring.lifted.resize(full.size() * n);
+            ring.scaled.resize(ring.params->qPrimeCount() * n);
+        }
+        const auto lift = [](Ring &ring) {
+            const size_t kq = ring.params->qPrimeCount();
+            fv::liftRows(*ring.params, 0, fv::ArithPath::kHps,
+                         ring.rows.data(),
+                         ring.lifted.data() + kq * ring.params->degree());
+        };
+        const auto scale = [](Ring &ring) {
+            fv::scaleRows(*ring.params, 0, fv::ArithPath::kHps,
+                          ring.rows.data(), ring.scaled.data());
+        };
+        const simd::Level active = simd::activeLevel();
+        std::vector<simd::Level> levels;
+        std::vector<std::function<void()>> bodies;
+        for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
+                                  simd::Level::kAvx512}) {
+            if (level > simd::detectedLevel())
+                break;
+            levels.push_back(level);
+            for (Ring &ring : rings) {
+                bodies.push_back([&, level] {
+                    simd::setLevel(level);
+                    lift(ring);
+                });
+                bodies.push_back([&, level] {
+                    simd::setLevel(level);
+                    scale(ring);
+                });
+            }
+        }
+        const size_t gate = bodies.size();
+        for (simd::Level level : {simd::Level::kScalar, active}) {
+            bodies.push_back([&, level] {
+                simd::setLevel(level);
+                lift(rings[0]);
+                scale(rings[0]);
+            });
+        }
+        const heat::bench::InterleavedTimes times =
+            heat::bench::timeInterleaved(bodies, kHpsRounds, kHpsIters);
+        simd::setLevel(active);
+        for (Ring &ring : rings) {
+            benchmark::DoNotOptimize(ring.lifted.data());
+            benchmark::DoNotOptimize(ring.scaled.data());
+        }
+
+        heat::bench::printHeader(
+            "HPS Lift/Scale rows (n=4096: paper ring, q16 ring)");
+        size_t body = 0;
+        for (simd::Level level : levels) {
+            for (const Ring &ring : rings) {
+                const std::string name = ring.tag + simd::levelName(level);
+                const size_t n = ring.params->degree();
+                const size_t k = ring.params->fullBase()->size();
+                const double lift_us = times.best(body++) * 1e6;
+                const double scale_us = times.best(body++) * 1e6;
+                heat::bench::printInfo("lift_rows_us " + name, lift_us,
+                                       "us");
+                heat::bench::printInfo("scale_rows_us " + name, scale_us,
+                                       "us");
+                json.record("lift_rows_us/" + name, lift_us, "us", n, k);
+                json.record("scale_rows_us/" + name, scale_us, "us", n, k);
+            }
+        }
+        const double hps_speedup = times.medianRatio(gate, gate + 1);
+        heat::bench::printInfo("hps_simd_vs_scalar_speedup", hps_speedup,
+                               "x");
+        json.record("hps_simd_vs_scalar_speedup", hps_speedup, "x",
+                    rings[0].params->degree(),
+                    rings[0].params->fullBase()->size());
     }
 
     // Disabled-instrumentation overhead of the OBS_SPAN macro on the

@@ -1,9 +1,9 @@
 #include "fv/arith.h"
 
 #include <algorithm>
-#include <functional>
 #include <vector>
 
+#include "common/panic.h"
 #include "common/parallel.h"
 #include "fv/params.h"
 #include "simd/simd.h"
@@ -13,26 +13,19 @@ namespace heat::fv {
 namespace {
 
 /**
- * Coefficient-block size for the lift/scale batch kernels: large
- * enough to amortize the per-call scratch rows and constant setup,
- * small enough that the blocks of a single residue row stay cache
- * resident across the sop128 passes (and the scratch rows stay far
- * below the allocator's mmap threshold).
+ * Smallest coefficient range parallelFor hands one thread: the batch
+ * kernels stream each coefficient through all its residues once, so
+ * the range only needs to amortize the per-call dispatch.
  */
 constexpr size_t kCoeffGrain = 512;
 
 /**
- * Run fn(begin, end) over [0, n) in blocks of at most kCoeffGrain
- * coefficients; parallelFor spreads the blocks over the threads.
+ * Coefficients per scale stage in scaleRows: the p-base intermediate
+ * lives in an L1-resident stack block of kScaleBlock words (16 KB; 7 KB
+ * used at the paper's 7 p primes). Wider p bases take shorter stages.
  */
-void
-forEachBlock(size_t n, const std::function<void(size_t, size_t)> &fn)
-{
-    parallelFor(n, kCoeffGrain, [&fn](size_t begin, size_t end) {
-        for (size_t b = begin; b < end; b += kCoeffGrain)
-            fn(b, std::min(end, b + kCoeffGrain));
-    });
-}
+constexpr size_t kScaleStage = 128;
+constexpr size_t kScaleBlock = 2048;
 
 /** Pointers to @p count rows of stride @p n, offset by @p begin. */
 template <typename T>
@@ -56,15 +49,13 @@ liftRows(const FvParams &params, size_t level, ArithPath path,
     const size_t kp = params.pBase()->size();
     const auto &conv = params.liftConverter(level);
 
-    if (path == ArithPath::kHps) {
-        forEachBlock(n, [&](size_t begin, size_t end) {
+    parallelFor(n, kCoeffGrain, [&](size_t begin, size_t end) {
+        if (path == ArithPath::kHps) {
             const auto in = rowPointers(q_rows, kq, n, begin);
             const auto out = rowPointers(p_rows, kp, n, begin);
             conv.convertBatch(in.data(), out.data(), end - begin);
-        });
-        return;
-    }
-    forEachBlock(n, [&](size_t begin, size_t end) {
+            return;
+        }
         std::vector<uint64_t> in(kq), ext(kp);
         for (size_t j = begin; j < end; ++j) {
             for (size_t i = 0; i < kq; ++i)
@@ -86,23 +77,31 @@ scaleRows(const FvParams &params, size_t level, ArithPath path,
     const auto &scaler = params.scaler(level);
     const auto &back = params.scaleBackConverter(level);
 
-    if (path == ArithPath::kHps) {
-        forEachBlock(n, [&](size_t begin, size_t end) {
-            const size_t len = end - begin;
-            const auto in = rowPointers(full_rows, kq + kp, n, begin);
-            // Scratch rows for the intermediate p-base result of the
-            // scale, consumed directly by the back-conversion.
-            std::vector<uint64_t> mid(kp * len);
-            const auto mid_out = rowPointers(mid.data(), kp, len, 0);
+    const size_t stage = std::min(kScaleStage, kScaleBlock / kp);
+    panicIf(stage == 0, "p base too wide for the scale stage block");
+
+    parallelFor(n, kCoeffGrain, [&](size_t begin, size_t end) {
+        if (path == ArithPath::kHps) {
+            auto in = rowPointers(full_rows, kq + kp, n, begin);
+            auto out = rowPointers(q_rows, kq, n, begin);
+            // A stage's outputs are stored only after all its inputs
+            // were read into the intermediate, so q_rows may alias
+            // full_rows.
+            uint64_t mid[kScaleBlock];
+            const auto mid_out = rowPointers(mid, kp, stage, 0);
             const auto mid_in =
-                rowPointers<const uint64_t>(mid.data(), kp, len, 0);
-            const auto out = rowPointers(q_rows, kq, n, begin);
-            scaler.scaleBatch(in.data(), mid_out.data(), len);
-            back.convertBatch(mid_in.data(), out.data(), len);
-        });
-        return;
-    }
-    forEachBlock(n, [&](size_t begin, size_t end) {
+                rowPointers<const uint64_t>(mid, kp, stage, 0);
+            for (size_t b = begin; b < end; b += stage) {
+                const size_t len = std::min(stage, end - b);
+                scaler.scaleBatch(in.data(), mid_out.data(), len);
+                back.convertBatch(mid_in.data(), out.data(), len);
+                for (auto &row : in)
+                    row += len;
+                for (auto &row : out)
+                    row += len;
+            }
+            return;
+        }
         std::vector<uint64_t> in(kq + kp), mid(kp), res(kq);
         for (size_t j = begin; j < end; ++j) {
             for (size_t i = 0; i < kq + kp; ++i)
@@ -125,24 +124,21 @@ modSwitchRows(const FvParams &params, size_t from_level, ArithPath path,
 
     // ScaleRounder input order: dropped-prime residue first (its "q"
     // base), then the surviving residues (its "p" base).
-    if (path == ArithPath::kHps) {
-        forEachBlock(n, [&](size_t begin, size_t end) {
-            std::vector<const uint64_t *> in(live);
-            in[0] = in_rows + (live - 1) * n + begin;
-            for (size_t i = 0; i + 1 < live; ++i)
-                in[i + 1] = in_rows + i * n + begin;
+    parallelFor(n, kCoeffGrain, [&](size_t begin, size_t end) {
+        std::vector<const uint64_t *> in(live);
+        in[0] = in_rows + (live - 1) * n + begin;
+        for (size_t i = 0; i + 1 < live; ++i)
+            in[i + 1] = in_rows + i * n + begin;
+        if (path == ArithPath::kHps) {
             const auto out = rowPointers(out_rows, live - 1, n, begin);
             rounder.scaleBatch(in.data(), out.data(), end - begin);
-        });
-        return;
-    }
-    forEachBlock(n, [&](size_t begin, size_t end) {
-        std::vector<uint64_t> in(live), next(live - 1);
+            return;
+        }
+        std::vector<uint64_t> x(live), next(live - 1);
         for (size_t j = begin; j < end; ++j) {
-            in[0] = in_rows[(live - 1) * n + j];
-            for (size_t i = 0; i + 1 < live; ++i)
-                in[i + 1] = in_rows[i * n + j];
-            rounder.scaleExact(in, next);
+            for (size_t i = 0; i < live; ++i)
+                x[i] = in[i][j - begin];
+            rounder.scaleExact(x, next);
             for (size_t i = 0; i + 1 < live; ++i)
                 out_rows[i * n + j] = next[i];
         }

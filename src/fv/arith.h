@@ -14,8 +14,10 @@
  * Each driver splits the coefficients with parallelFor and runs either
  * arithmetic path of Sec. IV-C/D:
  *   - ArithPath::kHps: the Halevi-Polyakov-Shoup small-integer datapath
- *     through the batch kernels (FastBaseConverter::convertBatch,
- *     ScaleRounder::scaleBatch), or
+ *     through the batch entries (FastBaseConverter::convertBatch,
+ *     ScaleRounder::scaleBatch), each one pass of the fused
+ *     hps_convert / hps_scale SIMD kernel that streams a coefficient
+ *     through all its residues once, or
  *   - ArithPath::kExactCrt: exact BigInt CRT reconstruction per
  *     coefficient (the traditional multi-precision datapath and the
  *     test oracle).
@@ -50,7 +52,8 @@ void liftRows(const FvParams &params, size_t level, ArithPath path,
  * Scale Q->q at @p level: round(t x / q) of the full-base rows at
  * @p full_rows (q rows, then p rows), written over the q base to
  * @p q_rows (the p->q switch included). @p q_rows may alias
- * @p full_rows: each coefficient is consumed before it is written.
+ * @p full_rows: each coefficient is consumed before it is written (the
+ * HPS path stages the p-base intermediate in a stack block).
  */
 void scaleRows(const FvParams &params, size_t level, ArithPath path,
                const uint64_t *full_rows, uint64_t *q_rows);

@@ -3,7 +3,6 @@
 #include "common/bit_util.h"
 #include "common/panic.h"
 #include "obs/trace.h"
-#include "simd/simd.h"
 
 namespace heat::rns {
 
@@ -37,61 +36,51 @@ FastBaseConverter::FastBaseConverter(const RnsBase &from, const RnsBase &to)
             qstar_mod_[i][j] = from_.puncturedProduct(i).modUint64(b_j);
     }
 
-    // convertBatch eligibility: the lambda rows feed the sop128 kernel,
-    // so every source residue must fit a 32-bit lane and the term count
-    // the kernel's partial-sum headroom.
-    batch_eligible_ = from_.size() <= simd::kSopMaxTerms;
+    // hps_convert carries the lambdas in 32-bit lane products and its
+    // constant arrays hold simd::kHpsMaxTerms terms.
+    bool eligible = from_.size() <= simd::kHpsMaxTerms;
     for (const auto &m : from_.moduli())
-        batch_eligible_ =
-            batch_eligible_ && simd::eligibleModulus(m.value());
-    if (batch_eligible_) {
-        crt_inv_shoup_.resize(from_.size());
-        for (size_t i = 0; i < from_.size(); ++i)
-            crt_inv_shoup_[i] =
-                from_.modulus(i).shoupPrecompute(from_.crtInverse(i));
-        qstar_col_.assign(to_.size(),
-                          std::vector<uint64_t>(from_.size(), 0));
-        q_mod_shoup_.resize(to_.size());
-        for (size_t j = 0; j < to_.size(); ++j) {
-            for (size_t i = 0; i < from_.size(); ++i)
-                qstar_col_[j][i] = qstar_mod_[i][j];
-            q_mod_shoup_[j] =
-                to_.modulus(j).shoupPrecompute(q_mod_[j]);
-        }
+        eligible = eligible && simd::eligibleModulus(m.value());
+    for (const auto &m : to_.moduli())
+        eligible = eligible && simd::eligibleModulus(m.value());
+    if (!eligible)
+        return;
+    hps_.terms = from_.size();
+    hps_.frac_bits = frac_bits_;
+    for (size_t i = 0; i < from_.size(); ++i) {
+        const Modulus &q_i = from_.modulus(i);
+        hps_.frac[i] = recip_[i];
+        hps_.src_q[i] = q_i.value();
+        hps_.qtilde[i] = from_.crtInverse(i);
+        hps_.qtilde_phi[i] = q_i.shoupPrecompute(from_.crtInverse(i)) >> 32;
     }
-}
-
-void
-FastBaseConverter::computeLambdas(std::span<const uint64_t> in,
-                                  std::vector<uint64_t> &lambda) const
-{
-    panicIf(in.size() != from_.size(), "input size mismatch");
-    lambda.resize(from_.size());
-    for (size_t i = 0; i < from_.size(); ++i)
-        lambda[i] = from_.modulus(i).mul(in[i], from_.crtInverse(i));
-}
-
-uint64_t
-FastBaseConverter::roundedQuotient(std::span<const uint64_t> lambda) const
-{
-    // v' = round(sum lambda_i / q_i) evaluated with 60-significant-bit
-    // fixed-point reciprocals. lambda_i < 2^30 and recip_i < 2^61, so the
-    // accumulated sum stays far below 2^128 even for 48-prime bases.
-    uint128_t acc = 0;
-    for (size_t i = 0; i < lambda.size(); ++i)
-        acc += mulWide64(lambda[i], recip_[i]);
-    acc += uint128_t(1) << (frac_bits_ - 1);
-    return static_cast<uint64_t>(acc >> frac_bits_);
+    for (size_t j = 0; j < to_.size(); ++j) {
+        simd::HpsPrime p = simd::hpsPrime(to_.modulus(j).value());
+        // v' enters negated: out_j = sum_i lambda_i q*_ij - v' q.
+        p.round_w = to_.modulus(j).negate(q_mod_[j]);
+        for (size_t i = 0; i < from_.size(); ++i)
+            p.w[i] = qstar_mod_[i][j];
+        hps_.dst.push_back(p);
+    }
 }
 
 void
 FastBaseConverter::convert(std::span<const uint64_t> in,
                            std::span<uint64_t> out) const
 {
+    panicIf(in.size() != from_.size(), "input size mismatch");
     panicIf(out.size() != to_.size(), "output size mismatch");
-    std::vector<uint64_t> lambda;
-    computeLambdas(in, lambda);
-    const uint64_t v = roundedQuotient(lambda);
+    // Block 1: lambda_i = [x_i * q~_i] mod q_i. Blocks 3/4: the rounded
+    // quotient v' = round(sum lambda_i / q_i) with 60-significant-bit
+    // fixed-point reciprocals; lambda_i * recip_i < 2^122, so a sum of
+    // up to 64 terms fits 128 bits.
+    std::vector<uint64_t> lambda(from_.size());
+    uint128_t frac = uint128_t(1) << (frac_bits_ - 1);
+    for (size_t i = 0; i < from_.size(); ++i) {
+        lambda[i] = from_.modulus(i).mul(in[i], from_.crtInverse(i));
+        frac += mulWide64(lambda[i], recip_[i]);
+    }
+    const uint64_t v = static_cast<uint64_t>(frac >> frac_bits_);
 
     for (size_t j = 0; j < to_.size(); ++j) {
         const Modulus &b_j = to_.modulus(j);
@@ -112,50 +101,20 @@ FastBaseConverter::convertBatch(const uint64_t *const *in_rows,
                                 size_t count) const
 {
     OBS_SPAN("rns.convert_batch", "kernel");
-    const size_t kq = from_.size();
-    const size_t kb = to_.size();
-    if (!batch_eligible_) {
-        std::vector<uint64_t> in(kq);
-        std::vector<uint64_t> out(kb);
-        for (size_t c = 0; c < count; ++c) {
-            for (size_t i = 0; i < kq; ++i)
-                in[i] = in_rows[i][c];
-            convert(in, out);
-            for (size_t j = 0; j < kb; ++j)
-                out_rows[j][c] = out[j];
-        }
+    if (const simd::HpsTable *t = hpsTable()) {
+        simd::active().hps_convert(*t, in_rows, out_rows, count);
         return;
     }
-
-    const simd::Kernels &k = simd::active();
-
-    // Block 1: lambda rows (Shoup and Barrett products are both
-    // canonical, so this matches computeLambdas bit for bit).
-    std::vector<uint64_t> lambda_data(kq * count);
-    const uint64_t *lambda_rows[simd::kSopMaxTerms];
-    for (size_t i = 0; i < kq; ++i) {
-        uint64_t *row = lambda_data.data() + i * count;
-        k.mul_shoup_out(row, in_rows[i], count, from_.modulus(i),
-                        from_.crtInverse(i), crt_inv_shoup_[i]);
-        lambda_rows[i] = row;
-    }
-
-    // Blocks 3/4: the rounded quotient v' per coefficient. v' is at
-    // most from_.size(), far below every destination prime.
-    std::vector<uint64_t> lo(count), hi(count), v(count), corr(count);
-    k.sop128(lambda_rows, recip_.data(), kq, count, lo.data(),
-             hi.data());
-    k.round_shift128(lo.data(), hi.data(), count, frac_bits_, v.data());
-
-    // Block 2 + correction per destination prime.
-    for (size_t j = 0; j < kb; ++j) {
-        const Modulus &b_j = to_.modulus(j);
-        k.sop128(lambda_rows, qstar_col_[j].data(), kq, count, lo.data(),
-                 hi.data());
-        k.reduce128_mod(lo.data(), hi.data(), out_rows[j], count, b_j);
-        k.mul_shoup_out(corr.data(), v.data(), count, b_j, q_mod_[j],
-                        q_mod_shoup_[j]);
-        k.sub_mod(out_rows[j], corr.data(), count, b_j.value());
+    const size_t kq = from_.size();
+    const size_t kb = to_.size();
+    std::vector<uint64_t> in(kq);
+    std::vector<uint64_t> out(kb);
+    for (size_t c = 0; c < count; ++c) {
+        for (size_t i = 0; i < kq; ++i)
+            in[i] = in_rows[i][c];
+        convert(in, out);
+        for (size_t j = 0; j < kb; ++j)
+            out_rows[j][c] = out[j];
     }
 }
 

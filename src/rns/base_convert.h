@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "rns/rns_base.h"
+#include "simd/simd.h"
 
 namespace heat::rns {
 
@@ -47,22 +48,6 @@ class FastBaseConverter
     const RnsBase &toBase() const { return to_; }
 
     /**
-     * Compute lambda_i = [x_i * q~_i] mod q_i for one coefficient; this is
-     * the paper's Lift Block 1.
-     *
-     * @param in residues of x in the source base.
-     * @param lambda receives the lambda values (resized to from.size()).
-     */
-    void computeLambdas(std::span<const uint64_t> in,
-                        std::vector<uint64_t> &lambda) const;
-
-    /**
-     * Compute the rounded quotient v' = round(sum lambda_i / q_i) using
-     * the fixed-point reciprocal table; the paper's Lift Block 3/4 input.
-     */
-    uint64_t roundedQuotient(std::span<const uint64_t> lambda) const;
-
-    /**
      * Convert one coefficient. Output residues represent the centered
      * value of x in (-q/2, q/2] modulo each destination prime.
      *
@@ -79,10 +64,10 @@ class FastBaseConverter
      *                row of count values (RnsPoly residue-major layout).
      * @param out_rows toBase().size() pointers receiving count values.
      *
-     * Bit-identical to count calls of convert(); uses the dispatched
-     * SIMD kernels when every source modulus fits the lane bound and
-     * the base fits the 128-bit sum-of-products term budget, else a
-     * per-coefficient gather/convert/scatter loop.
+     * Bit-identical to count calls of convert(). One call of the
+     * dispatched hps_convert kernel when hpsTable() is set, else a
+     * per-coefficient gather/convert/scatter loop. Output rows must
+     * not overlap input rows.
      */
     void convertBatch(const uint64_t *const *in_rows,
                       uint64_t *const *out_rows, size_t count) const;
@@ -100,6 +85,18 @@ class FastBaseConverter
     /** @return reciprocal table entry round(2^frac_bits / q_i). */
     uint64_t reciprocal(size_t i) const { return recip_[i]; }
 
+    /**
+     * @return the hps_convert constants, or nullptr when a modulus is
+     * not below simd::kLaneModulusBound or the source base has more
+     * than simd::kHpsMaxTerms primes (convertBatch then loops per
+     * coefficient).
+     */
+    const simd::HpsTable *
+    hpsTable() const
+    {
+        return hps_.terms == 0 ? nullptr : &hps_;
+    }
+
   private:
     RnsBase from_;
     RnsBase to_;
@@ -111,14 +108,8 @@ class FastBaseConverter
     /** q_mod_[j] = q mod b_j. */
     std::vector<uint64_t> q_mod_;
 
-    /** True when convertBatch may use the SIMD kernels. */
-    bool batch_eligible_ = false;
-    /** crt_inv_shoup_[i] = shoupPrecompute(q~_i) for the lambda rows. */
-    std::vector<uint64_t> crt_inv_shoup_;
-    /** qstar_col_[j] = {qstar_mod_[0][j], ..., qstar_mod_[kq-1][j]}. */
-    std::vector<std::vector<uint64_t>> qstar_col_;
-    /** q_mod_shoup_[j] = shoupPrecompute(q_mod_[j]) for v-corrections. */
-    std::vector<uint64_t> q_mod_shoup_;
+    /** The same constants laid out for hps_convert (see hpsTable()). */
+    simd::HpsTable hps_;
 };
 
 } // namespace heat::rns

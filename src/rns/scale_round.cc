@@ -3,7 +3,6 @@
 #include "common/bit_util.h"
 #include "common/panic.h"
 #include "obs/trace.h"
-#include "simd/simd.h"
 
 namespace heat::rns {
 
@@ -46,22 +45,22 @@ ScaleRounder::ScaleRounder(const RnsBase &q_base, const RnsBase &p_base,
         cj_[j] = c.modUint64(p_j);
     }
 
-    // scaleBatch runs through the sop128/reduce128 kernels when every
-    // full-base residue fits a 32-bit lane and the Block-2 term count
-    // (q residues + the coefficient's own p residue) fits the kernel's
-    // 64-bit partial-sum headroom.
-    batch_eligible_ = q_.size() + 1 <= simd::kSopMaxTerms;
+    // hps_scale's constant arrays hold simd::kHpsMaxTerms terms.
+    bool eligible = q_.size() <= simd::kHpsMaxTerms;
     for (const auto &m : full_.moduli())
-        batch_eligible_ =
-            batch_eligible_ && simd::eligibleModulus(m.value());
-    if (batch_eligible_) {
-        wcol_.assign(p_.size(),
-                     std::vector<uint64_t>(q_.size() + 1, 0));
-        for (size_t j = 0; j < p_.size(); ++j) {
-            for (size_t i = 0; i < q_.size(); ++i)
-                wcol_[j][i] = imod_[i][j];
-            wcol_[j][q_.size()] = cj_[j];
-        }
+        eligible = eligible && simd::eligibleModulus(m.value());
+    if (!eligible)
+        return;
+    hps_.terms = q_.size();
+    hps_.frac_bits = kFracBits;
+    for (size_t i = 0; i < q_.size(); ++i)
+        hps_.frac[i] = rfrac_[i];
+    for (size_t j = 0; j < p_.size(); ++j) {
+        simd::HpsPrime p = simd::hpsPrime(p_.modulus(j).value());
+        p.own_w = cj_[j];
+        for (size_t i = 0; i < q_.size(); ++i)
+            p.w[i] = imod_[i][j];
+        hps_.dst.push_back(p);
     }
 }
 
@@ -99,42 +98,18 @@ ScaleRounder::scaleBatch(const uint64_t *const *in_rows,
                          uint64_t *const *out_rows, size_t count) const
 {
     OBS_SPAN("rns.scale_batch", "kernel");
-    const size_t kq = q_.size();
-    const size_t kp = p_.size();
-    if (!batch_eligible_) {
-        std::vector<uint64_t> in(full_.size());
-        std::vector<uint64_t> out(kp);
-        for (size_t c = 0; c < count; ++c) {
-            for (size_t i = 0; i < full_.size(); ++i)
-                in[i] = in_rows[i][c];
-            scale(in, out);
-            for (size_t j = 0; j < kp; ++j)
-                out_rows[j][c] = out[j];
-        }
+    if (const simd::HpsTable *t = hpsTable()) {
+        simd::active().hps_scale(*t, in_rows, out_rows, count);
         return;
     }
-
-    const simd::Kernels &k = simd::active();
-    std::vector<uint64_t> lo(count), hi(count), rounded(count);
-
-    // Block 1: fractional sum-of-products and the round (shared by all
-    // output primes).
-    k.sop128(in_rows, rfrac_.data(), kq, count, lo.data(), hi.data());
-    k.round_shift128(lo.data(), hi.data(), count, kFracBits,
-                     rounded.data());
-
-    // Blocks 2-4 per output prime, on whole rows: the q-base rows plus
-    // the coefficient's own p_j row, weighted by the precomputed column.
-    const uint64_t *rows[simd::kSopMaxTerms];
-    for (size_t i = 0; i < kq; ++i)
-        rows[i] = in_rows[i];
-    for (size_t j = 0; j < kp; ++j) {
-        rows[kq] = in_rows[kq + j];
-        k.sop128(rows, wcol_[j].data(), kq + 1, count, lo.data(),
-                 hi.data());
-        k.add128_64(lo.data(), hi.data(), rounded.data(), count);
-        k.reduce128_mod(lo.data(), hi.data(), out_rows[j], count,
-                        p_.modulus(j));
+    std::vector<uint64_t> in(full_.size());
+    std::vector<uint64_t> out(p_.size());
+    for (size_t c = 0; c < count; ++c) {
+        for (size_t i = 0; i < full_.size(); ++i)
+            in[i] = in_rows[i][c];
+        scale(in, out);
+        for (size_t j = 0; j < p_.size(); ++j)
+            out_rows[j][c] = out[j];
     }
 }
 

@@ -29,6 +29,7 @@
 
 #include "rns/base_convert.h"
 #include "rns/rns_base.h"
+#include "simd/simd.h"
 
 namespace heat::rns {
 
@@ -71,11 +72,10 @@ class ScaleRounder
      * @param out_rows pBase().size() pointers receiving count scaled
      *                 values each.
      *
-     * Bit-identical to count calls of scale(). When every full-base
-     * modulus fits the SIMD lane bound (and the base is small enough
-     * for the 128-bit sum-of-products kernels), the blocks run through
-     * the dispatched vector kernels; otherwise this degrades to a
-     * per-coefficient gather/scale/scatter loop.
+     * Bit-identical to count calls of scale(). One call of the
+     * dispatched hps_scale kernel when hpsTable() is set, else a
+     * per-coefficient gather/scale/scatter loop. Output rows must not
+     * overlap input rows.
      */
     void scaleBatch(const uint64_t *const *in_rows,
                     uint64_t *const *out_rows, size_t count) const;
@@ -91,6 +91,18 @@ class ScaleRounder
     /** Fixed-point fractional bits used for the R_i constants. */
     static constexpr int kFracBits = 60;
 
+    /**
+     * @return the hps_scale constants, or nullptr when a full-base
+     * modulus is not below simd::kLaneModulusBound or q has more than
+     * simd::kHpsMaxTerms primes (scaleBatch then loops per
+     * coefficient).
+     */
+    const simd::HpsTable *
+    hpsTable() const
+    {
+        return hps_.terms == 0 ? nullptr : &hps_;
+    }
+
   private:
     RnsBase q_;
     RnsBase p_;
@@ -104,10 +116,8 @@ class ScaleRounder
     /** cj_[j] = [t * Q~_j * (p / q_j)] mod p_j. */
     std::vector<uint64_t> cj_;
 
-    /** True when scaleBatch may use the SIMD sum-of-products kernels. */
-    bool batch_eligible_ = false;
-    /** wcol_[j] = {imod_[0][j], ..., imod_[kq-1][j], cj_[j]}. */
-    std::vector<std::vector<uint64_t>> wcol_;
+    /** The same constants laid out for hps_scale (see hpsTable()). */
+    simd::HpsTable hps_;
 };
 
 } // namespace heat::rns

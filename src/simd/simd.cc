@@ -46,14 +46,6 @@ mulShoupScalar(uint64_t *a, size_t n, const rns::Modulus &q, uint64_t w,
 }
 
 void
-mulShoupOutScalar(uint64_t *dst, const uint64_t *src, size_t n,
-                  const rns::Modulus &q, uint64_t w, uint64_t w_shoup)
-{
-    for (size_t i = 0; i < n; ++i)
-        dst[i] = q.mulShoup(src[i], w, w_shoup);
-}
-
-void
 mulModScalar(uint64_t *a, const uint64_t *b, size_t n,
              const rns::Modulus &q)
 {
@@ -77,49 +69,44 @@ reduceU32Scalar(uint64_t *dst, const uint64_t *src, size_t n,
         dst[i] = q.reduce(src[i]);
 }
 
+/*
+ * y_i is lambda_i (kConvert) or the input residue itself; the Block-2
+ * addend is v' * round_w (kConvert) or r plus the own residue's term.
+ */
+template <bool kConvert>
 void
-sop128Scalar(const uint64_t *const *rows, const uint64_t *weights,
-             size_t terms, size_t count, uint64_t *lo, uint64_t *hi)
+hpsScalar(const HpsTable &t, const uint64_t *const *in_rows,
+          uint64_t *const *out_rows, size_t begin, size_t end)
 {
-    for (size_t j = 0; j < count; ++j) {
-        uint128_t acc = 0;
-        for (size_t i = 0; i < terms; ++i)
-            acc += mulWide64(rows[i][j], weights[i]);
-        lo[j] = static_cast<uint64_t>(acc);
-        hi[j] = static_cast<uint64_t>(acc >> 64);
+    const size_t kq = t.terms;
+    const uint128_t half = uint128_t(1) << (t.frac_bits - 1);
+    for (size_t c = begin; c < end; ++c) {
+        uint64_t y[kHpsMaxTerms];
+        uint128_t frac = half;
+        for (size_t i = 0; i < kq; ++i) {
+            y[i] = kConvert ? in_rows[i][c] * t.qtilde[i] % t.src_q[i]
+                            : in_rows[i][c];
+            frac += mulWide64(y[i], t.frac[i]);
+        }
+        const uint64_t r = static_cast<uint64_t>(frac >> t.frac_bits);
+        for (size_t j = 0; j < t.dst.size(); ++j) {
+            const HpsPrime &p = t.dst[j];
+            uint64_t s = kConvert ? r * p.round_w
+                                  : r + in_rows[kq + j][c] * p.own_w;
+            for (size_t i0 = 0; i0 < kq; i0 += kHpsRunTerms) {
+                for (size_t i = i0; i < kq && i < i0 + kHpsRunTerms; ++i)
+                    s += y[i] * p.w[i];
+                s %= p.q;
+            }
+            out_rows[j][c] = s;
+        }
     }
 }
 
-void
-add128_64Scalar(uint64_t *lo, uint64_t *hi, const uint64_t *add,
-                size_t count)
-{
-    for (size_t j = 0; j < count; ++j) {
-        const uint64_t s = lo[j] + add[j];
-        hi[j] += s < add[j] ? 1 : 0;
-        lo[j] = s;
-    }
-}
-
-void
-roundShift128Scalar(const uint64_t *lo, const uint64_t *hi, size_t count,
-                    int shift, uint64_t *out)
-{
-    panicIf(shift < 1 || shift > 127, "round_shift128 shift out of range");
-    const uint128_t half = uint128_t(1) << (shift - 1);
-    for (size_t j = 0; j < count; ++j) {
-        const uint128_t x = (uint128_t(hi[j]) << 64) | lo[j];
-        out[j] = static_cast<uint64_t>((x + half) >> shift);
-    }
-}
-
-void
-reduce128ModScalar(const uint64_t *lo, const uint64_t *hi, uint64_t *out,
-                   size_t count, const rns::Modulus &q)
-{
-    for (size_t j = 0; j < count; ++j)
-        out[j] = q.reduce128((uint128_t(hi[j]) << 64) | lo[j]);
-}
+template void hpsScalar<true>(const HpsTable &, const uint64_t *const *,
+                              uint64_t *const *, size_t, size_t);
+template void hpsScalar<false>(const HpsTable &, const uint64_t *const *,
+                               uint64_t *const *, size_t, size_t);
 
 Mod32Constants
 mod32Constants(const rns::Modulus &q)
@@ -130,8 +117,6 @@ mod32Constants(const rns::Modulus &q)
     c.phi1 = static_cast<uint64_t>((uint128_t(1) << 32) / qv);
     c.c32 = static_cast<uint64_t>((uint128_t(1) << 32) % qv);
     c.phi_c32 = static_cast<uint64_t>((uint128_t(c.c32) << 32) / qv);
-    c.c64 = static_cast<uint64_t>((uint128_t(1) << 64) % qv);
-    c.phi_c64 = static_cast<uint64_t>((uint128_t(c.c64) << 32) / qv);
     return c;
 }
 
@@ -149,22 +134,41 @@ nttInverseScalarEntry(uint64_t *a, const ntt::NttTables &tables)
     ntt::inverseNttScalar({a, tables.degree()}, tables);
 }
 
+template <bool kConvert>
+void
+hpsScalarEntry(const HpsTable &t, const uint64_t *const *in_rows,
+               uint64_t *const *out_rows, size_t count)
+{
+    hpsScalar<kConvert>(t, in_rows, out_rows, 0, count);
+}
+
 } // namespace
 
 const Kernels &
 scalarKernels()
 {
     static const Kernels table = {
-        Level::kScalar,    nttForwardScalarEntry, nttInverseScalarEntry,
-        addModScalar,      subModScalar,          negateModScalar,
-        mulShoupScalar,    mulShoupOutScalar,     mulModScalar,
-        macModScalar,      reduceU32Scalar,       sop128Scalar,
-        add128_64Scalar,   roundShift128Scalar,   reduce128ModScalar,
+        Level::kScalar,        nttForwardScalarEntry, nttInverseScalarEntry,
+        addModScalar,          subModScalar,          negateModScalar,
+        mulShoupScalar,        mulModScalar,          macModScalar,
+        reduceU32Scalar,       hpsScalarEntry<true>,  hpsScalarEntry<false>,
     };
     return table;
 }
 
 } // namespace detail
+
+HpsPrime
+hpsPrime(uint64_t q)
+{
+    const detail::Mod32Constants mc = detail::mod32Constants(rns::Modulus(q));
+    HpsPrime p;
+    p.q = q;
+    p.phi1 = mc.phi1;
+    p.c32 = mc.c32;
+    p.phi_c32 = mc.phi_c32;
+    return p;
+}
 
 const char *
 levelName(Level level)

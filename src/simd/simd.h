@@ -14,8 +14,11 @@
  * Vector paths use 32-bit Shoup/Harvey lazy reduction (one vpmuludq
  * per 64-bit product half), which bounds lane values by 2^32: only
  * moduli below kLaneModulusBound (2^30, the paper's RNS prime width)
- * vectorize. Every kernel checks its modulus and falls back to the
- * scalar body for wider primes, so callers never need to branch.
+ * vectorize. Every element-wise and NTT kernel checks its modulus and
+ * falls back to the scalar body for wider primes, so callers never
+ * need to branch. The fused HPS kernels instead take an HpsTable,
+ * whose builder checks the bounds once and keeps wider bases on its
+ * own per-coefficient path.
  *
  * The AVX2/AVX-512 translation units are compiled with per-file
  * `-mavx2`/`-mavx512f`; nothing else in the library is built with
@@ -28,6 +31,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace heat::ntt {
 class NttTables;
@@ -83,10 +87,60 @@ eligibleModulus(uint64_t q)
 }
 
 /**
- * One dispatch table. All entries are total functions: they accept
- * any supported modulus and fall back to scalar code when the vector
- * preconditions fail, and their outputs are bit-identical to the
- * scalar table on every input.
+ * Term bounds of the fused HPS kernels. Bases of up to kHpsMaxTerms
+ * source residues take the vector path: Block 1 keeps 60-bit weights
+ * in a 128-bit carry chain whose high-half partial products, below
+ * 2^58 each, sum in one 64-bit lane. Wider bases run the
+ * per-coefficient convert()/scale() loop. Block-2 residues and weights
+ * are below kLaneModulusBound, so each product is below 2^60; a run
+ * starts below 2^61 (the addend: v' <= terms times its weight, or the
+ * rounded Block-1 sum plus the own residue's product; or the previous
+ * run's lazy reduction), and kHpsRunTerms products keep it below
+ * 2^61 + 14 * 2^60 = 2^64, exact in one lane.
+ */
+inline constexpr size_t kHpsMaxTerms = 32;
+inline constexpr size_t kHpsRunTerms = 14;
+
+/** One destination prime of an HPS kernel. */
+struct HpsPrime
+{
+    uint64_t q = 0;       ///< the prime, < kLaneModulusBound
+    uint64_t phi1 = 0;    ///< floor(2^32 / q)
+    uint64_t c32 = 0;     ///< 2^32 mod q
+    uint64_t phi_c32 = 0; ///< floor(c32 * 2^32 / q)
+    uint64_t round_w = 0; ///< hps_convert: weight of v', < q
+    uint64_t own_w = 0;   ///< hps_scale: weight of the own residue, < q
+    uint64_t w[kHpsMaxTerms] = {}; ///< Block-2 weight of term i, < q
+};
+
+/**
+ * Constant block of one HPS conversion or scale-round, built once by
+ * rns::FastBaseConverter / rns::ScaleRounder. Contract: 1 <= terms <=
+ * kHpsMaxTerms, 1 <= frac_bits <= 127, frac[i] <= 2^60, every modulus
+ * below kLaneModulusBound and every weight below its modulus. Block-2
+ * sums reduce after every kHpsRunTerms products.
+ */
+struct HpsTable
+{
+    size_t terms = 0;  ///< source residues (the divisor base)
+    int frac_bits = 0; ///< Block-1 fixed-point fraction bits
+    uint64_t frac[kHpsMaxTerms] = {};   ///< Block-1 weights
+    uint64_t src_q[kHpsMaxTerms] = {};  ///< hps_convert: source moduli
+    uint64_t qtilde[kHpsMaxTerms] = {}; ///< hps_convert: lambda weights
+    /** hps_convert: floor(qtilde[i] * 2^32 / src_q[i]). */
+    uint64_t qtilde_phi[kHpsMaxTerms] = {};
+    std::vector<HpsPrime> dst; ///< one entry per output row
+};
+
+/** @return an HpsPrime for @p q with its reduction constants set. */
+HpsPrime hpsPrime(uint64_t q);
+
+/**
+ * One dispatch table. The element-wise and NTT entries are total
+ * functions: they accept any supported modulus and fall back to scalar
+ * code when the vector preconditions fail. The HPS entries rely on
+ * their table's contract instead. Every output is bit-identical to the
+ * scalar table's on every input.
  */
 struct Kernels
 {
@@ -121,11 +175,6 @@ struct Kernels
     void (*mul_shoup)(uint64_t *a, size_t n, const rns::Modulus &q,
                       uint64_t w, uint64_t w_shoup);
 
-    /** Out-of-place variant: dst[i] = src[i] * w mod q. */
-    void (*mul_shoup_out)(uint64_t *dst, const uint64_t *src, size_t n,
-                          const rns::Modulus &q, uint64_t w,
-                          uint64_t w_shoup);
-
     /** a[i] = a[i] * b[i] mod q; inputs in [0, q). */
     void (*mul_mod)(uint64_t *a, const uint64_t *b, size_t n,
                     const rns::Modulus &q);
@@ -142,37 +191,32 @@ struct Kernels
                        const rns::Modulus &q);
 
     /**
-     * Exact 128-bit sum of products per lane:
-     *   (hi[j], lo[j]) = sum_i rows[i][j] * weights[i]
-     * for j in [0, count). Preconditions: rows values < 2^30,
-     * weights <= 2^60, terms <= kSopMaxTerms. This is the shared HPS
-     * lift/scale inner loop (ScaleRounder / FastBaseConverter).
+     * Fused HPS fast base conversion (the Lift unit, Fig. 6). Each
+     * coefficient streams once through all its residues:
+     *   lambda_i = x_i * qtilde_i mod src_q_i
+     *   v'       = round(sum_i lambda_i * frac_i / 2^frac_bits)
+     *   out_j    = (sum_i lambda_i * w_ij + v' * round_w_j) mod q_j
+     * over the t.terms rows at @p in_rows, writing the t.dst.size()
+     * rows at @p out_rows, @p count coefficients each. Preconditions:
+     * the HpsTable contract holds, every input is canonical, and no
+     * output row overlaps an input row (fv::scaleRows stages its
+     * p-base intermediate in a stack block to run in place).
      */
-    void (*sop128)(const uint64_t *const *rows, const uint64_t *weights,
-                   size_t terms, size_t count, uint64_t *lo, uint64_t *hi);
-
-    /** 128-bit lane add: (hi[j], lo[j]) += add[j]. */
-    void (*add128_64)(uint64_t *lo, uint64_t *hi, const uint64_t *add,
-                      size_t count);
-
-    /**
-     * out[j] = (x[j] + 2^(shift-1)) >> shift for the 128-bit lanes
-     * x = (hi, lo); 1 <= shift <= 127 and the result must fit 64 bits.
-     */
-    void (*round_shift128)(const uint64_t *lo, const uint64_t *hi,
-                           size_t count, int shift, uint64_t *out);
+    void (*hps_convert)(const HpsTable &t, const uint64_t *const *in_rows,
+                        uint64_t *const *out_rows, size_t count);
 
     /**
-     * out[j] = (hi[j] * 2^64 + lo[j]) mod q, canonical; requires
-     * hi[j] < 2^32 (Barrett-identical to Modulus::reduce128).
+     * Fused HPS scale-round (the Scale unit, Fig. 9 Blocks 1-4):
+     *   r     = round(sum_i x_i * frac_i / 2^frac_bits)
+     *   out_j = (sum_i x_i * w_ij + x_{terms+j} * own_w_j + r) mod q_j
+     * @p in_rows holds t.terms + t.dst.size() rows: the divisor base,
+     * then one row per output prime (the coefficient's own residue).
+     * The own residue's product joins the Block-2 addend. Same input
+     * and aliasing rules as hps_convert.
      */
-    void (*reduce128_mod)(const uint64_t *lo, const uint64_t *hi,
-                          uint64_t *out, size_t count,
-                          const rns::Modulus &q);
+    void (*hps_scale)(const HpsTable &t, const uint64_t *const *in_rows,
+                      uint64_t *const *out_rows, size_t count);
 };
-
-/** Maximum term count sop128 accepts (64-bit partial-sum headroom). */
-inline constexpr size_t kSopMaxTerms = 32;
 
 /** @return the active kernel table (HEAT_SIMD-aware, CPU-detected). */
 const Kernels &active();

@@ -339,11 +339,11 @@ negateModAvx2(uint64_t *a, size_t n, uint64_t q)
 }
 
 void
-mulShoupOutAvx2(uint64_t *dst, const uint64_t *src, size_t n,
-                const rns::Modulus &q, uint64_t w, uint64_t w_shoup)
+mulShoupAvx2(uint64_t *a, size_t n, const rns::Modulus &q, uint64_t w,
+             uint64_t w_shoup)
 {
     if (!eligibleModulus(q.value())) {
-        mulShoupOutScalar(dst, src, n, q, w, w_shoup);
+        mulShoupScalar(a, n, q, w, w_shoup);
         return;
     }
     const __m256i vq = set1(q.value());
@@ -351,17 +351,23 @@ mulShoupOutAvx2(uint64_t *dst, const uint64_t *src, size_t n,
     const __m256i vphi = set1(w_shoup >> 32);
     size_t j = 0;
     for (; j + 4 <= n; j += 4) {
-        const __m256i r = mulShoupLazy32(load(src + j), vw, vphi, vq);
-        store(dst + j, csub(r, vq));
+        const __m256i r = mulShoupLazy32(load(a + j), vw, vphi, vq);
+        store(a + j, csub(r, vq));
     }
-    mulShoupOutScalar(dst + j, src + j, n - j, q, w, w_shoup);
+    mulShoupScalar(a + j, n - j, q, w, w_shoup);
 }
 
-void
-mulShoupAvx2(uint64_t *a, size_t n, const rns::Modulus &q, uint64_t w,
-             uint64_t w_shoup)
+/** x mod q into [0, 2q) for any 64-bit x, q < 2^30. */
+inline __m256i
+reduce64Lazy(__m256i x, __m256i vq, __m256i vphi1, __m256i vc32,
+             __m256i vphi_c32, __m256i mask32)
 {
-    mulShoupOutAvx2(a, a, n, q, w, w_shoup);
+    const __m256i d = _mm256_srli_epi64(x, 32);
+    const __m256i l = _mm256_and_si256(x, mask32);
+    const __m256i t1 = mulShoupLazy32(d, vc32, vphi_c32, vq);
+    const __m256i t3 = reduceLazyBy1(l, vphi1, vq);
+    const __m256i s = _mm256_add_epi64(t1, t3); // < 4q < 2^32
+    return reduceLazyBy1(s, vphi1, vq);
 }
 
 /** a[i]*b[i] mod q into [0, 2q); a, b < q < 2^30. */
@@ -369,13 +375,8 @@ inline __m256i
 mulModLazy(__m256i va, __m256i vb, __m256i vq, __m256i vphi1,
            __m256i vc32, __m256i vphi_c32, __m256i mask32)
 {
-    const __m256i x = _mm256_mul_epu32(va, vb); // exact, < 2^60
-    const __m256i d = _mm256_srli_epi64(x, 32);
-    const __m256i l = _mm256_and_si256(x, mask32);
-    const __m256i t1 = mulShoupLazy32(d, vc32, vphi_c32, vq);
-    const __m256i t3 = reduceLazyBy1(l, vphi1, vq);
-    const __m256i s = _mm256_add_epi64(t1, t3); // < 4q < 2^32
-    return reduceLazyBy1(s, vphi1, vq);
+    return reduce64Lazy(_mm256_mul_epu32(va, vb), vq, vphi1, vc32,
+                        vphi_c32, mask32);
 }
 
 void
@@ -446,106 +447,106 @@ reduceU32Avx2(uint64_t *dst, const uint64_t *src, size_t n,
     reduceU32Scalar(dst + j, src + j, n - j, q);
 }
 
-void
-sop128Avx2(const uint64_t *const *rows, const uint64_t *weights,
-           size_t terms, size_t count, uint64_t *lo, uint64_t *hi)
+/** (hi, lo) += x, as 128-bit lanes (an all-ones carry mask is -1). */
+inline void
+add128(__m256i &lo, __m256i &hi, __m256i x, __m256i bias)
 {
+    lo = _mm256_add_epi64(lo, x);
+    hi = _mm256_sub_epi64(hi, ltu64(lo, x, bias));
+}
+
+/** The fused HPS kernels: simd_avx512.cc's hpsAvx512Loop on 4 lanes. */
+template <bool kConvert, int U>
+size_t
+hpsAvx2Loop(const HpsTable &t, const uint64_t *const *in_rows,
+            uint64_t *const *out_rows, size_t c, size_t count)
+{
+    const size_t kq = t.terms;
+    const int s = t.frac_bits;
     const __m256i bias = set1(uint64_t(1) << 63);
-    const __m256i one = set1(1);
-    size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-        __m256i acc_lo = _mm256_setzero_si256();
-        __m256i acc_mid = _mm256_setzero_si256();
-        __m256i acc_hi = _mm256_setzero_si256();
-        for (size_t i = 0; i < terms; ++i) {
-            const __m256i v = load(rows[i] + j);
-            const __m256i wlo = set1(weights[i] & 0xffffffffu);
-            const __m256i whi = set1(weights[i] >> 32);
-            const __m256i plo = _mm256_mul_epu32(v, wlo);
-            const __m256i s = _mm256_add_epi64(acc_lo, plo);
-            const __m256i carry = ltu64(s, plo, bias);
-            acc_hi =
-                _mm256_add_epi64(acc_hi, _mm256_and_si256(carry, one));
-            acc_lo = s;
-            acc_mid =
-                _mm256_add_epi64(acc_mid, _mm256_mul_epu32(v, whi));
-        }
-        const __m256i mid_lo = _mm256_slli_epi64(acc_mid, 32);
-        const __m256i s = _mm256_add_epi64(acc_lo, mid_lo);
-        const __m256i carry = ltu64(s, mid_lo, bias);
-        acc_hi = _mm256_add_epi64(acc_hi, _mm256_and_si256(carry, one));
-        store(lo + j, s);
-        store(hi + j,
-              _mm256_add_epi64(acc_hi, _mm256_srli_epi64(acc_mid, 32)));
-    }
-    if (j < count) {
-        const uint64_t *tail_rows[kSopMaxTerms];
-        for (size_t i = 0; i < terms; ++i)
-            tail_rows[i] = rows[i] + j;
-        sop128Scalar(tail_rows, weights, terms, count - j, lo + j,
-                     hi + j);
-    }
-}
-
-void
-add128_64Avx2(uint64_t *lo, uint64_t *hi, const uint64_t *add,
-              size_t count)
-{
-    const __m256i bias = set1(uint64_t(1) << 63);
-    const __m256i one = set1(1);
-    size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-        const __m256i va = load(add + j);
-        const __m256i s = _mm256_add_epi64(load(lo + j), va);
-        const __m256i carry = ltu64(s, va, bias);
-        store(lo + j, s);
-        store(hi + j, _mm256_add_epi64(load(hi + j),
-                                       _mm256_and_si256(carry, one)));
-    }
-    add128_64Scalar(lo + j, hi + j, add + j, count - j);
-}
-
-void
-roundShift128Avx2(const uint64_t *lo, const uint64_t *hi, size_t count,
-                  int shift, uint64_t *out)
-{
-    // Few ops per lane and one call per coefficient block: the scalar
-    // body keeps up with loads/stores here, so share it.
-    roundShift128Scalar(lo, hi, count, shift, out);
-}
-
-void
-reduce128ModAvx2(const uint64_t *lo, const uint64_t *hi, uint64_t *out,
-                 size_t count, const rns::Modulus &q)
-{
-    if (!eligibleModulus(q.value())) {
-        reduce128ModScalar(lo, hi, out, count, q);
-        return;
-    }
-    const Mod32Constants mc = mod32Constants(q);
-    const __m256i vq = set1(mc.q);
-    const __m256i v2q = set1(2 * mc.q);
-    const __m256i vphi1 = set1(mc.phi1);
-    const __m256i vc32 = set1(mc.c32);
-    const __m256i vphi_c32 = set1(mc.phi_c32);
-    const __m256i vc64 = set1(mc.c64);
-    const __m256i vphi_c64 = set1(mc.phi_c64);
     const __m256i mask32 = set1(0xffffffffu);
-    size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-        const __m256i vhi = load(hi + j); // < 2^32 by contract
-        const __m256i vlo = load(lo + j);
-        const __m256i t = mulShoupLazy32(vhi, vc64, vphi_c64, vq);
-        const __m256i t2 = mulShoupLazy32(_mm256_srli_epi64(vlo, 32),
-                                          vc32, vphi_c32, vq);
-        const __m256i t3 =
-            reduceLazyBy1(_mm256_and_si256(vlo, mask32), vphi1, vq);
-        __m256i s = csub(_mm256_add_epi64(t, t2), v2q);
-        s = _mm256_add_epi64(s, t3); // < 4q < 2^32
-        const __m256i r = reduceLazyBy1(s, vphi1, vq);
-        store(out + j, csub(r, vq));
+    // Rounding: add 2^(s-1), then (hi:lo) >> s. A shift count outside
+    // [0, 63] clears the lane, so one expression covers every s.
+    const __m256i half_lo = set1(s <= 64 ? uint64_t(1) << (s - 1) : 0);
+    const __m256i half_hi = set1(s > 64 ? uint64_t(1) << (s - 65) : 0);
+    const __m128i sh_lo = _mm_cvtsi64_si128(s);
+    const __m128i sh_hi_up = _mm_cvtsi64_si128(64 - s);
+    const __m128i sh_hi_down = _mm_cvtsi64_si128(s - 64);
+    for (; c + 4 * U <= count; c += 4 * U) {
+        __m256i y[U][kHpsMaxTerms];
+        __m256i lo[U], hi[U], mid[U], r[U];
+        for (int u = 0; u < U; ++u) {
+            lo[u] = half_lo;
+            hi[u] = half_hi;
+            mid[u] = _mm256_setzero_si256();
+        }
+        for (size_t i = 0; i < kq; ++i) {
+            const __m256i f = set1(t.frac[i]);
+            const __m256i f_hi = _mm256_srli_epi64(f, 32);
+            for (int u = 0; u < U; ++u) {
+                __m256i x = load(in_rows[i] + c + 4 * u);
+                if constexpr (kConvert) {
+                    const __m256i q = set1(t.src_q[i]);
+                    x = csub(mulShoupLazy32(x, set1(t.qtilde[i]),
+                                            set1(t.qtilde_phi[i]), q),
+                             q);
+                }
+                y[u][i] = x;
+                add128(lo[u], hi[u], _mm256_mul_epu32(x, f), bias);
+                mid[u] =
+                    _mm256_add_epi64(mid[u], _mm256_mul_epu32(x, f_hi));
+            }
+        }
+        for (int u = 0; u < U; ++u) {
+            add128(lo[u], hi[u], _mm256_slli_epi64(mid[u], 32), bias);
+            hi[u] = _mm256_add_epi64(hi[u], _mm256_srli_epi64(mid[u], 32));
+            const __m256i from_lo = _mm256_srl_epi64(lo[u], sh_lo);
+            const __m256i from_hi =
+                _mm256_or_si256(_mm256_sll_epi64(hi[u], sh_hi_up),
+                                _mm256_srl_epi64(hi[u], sh_hi_down));
+            r[u] = _mm256_or_si256(from_lo, from_hi);
+        }
+
+        for (size_t j = 0; j < t.dst.size(); ++j) {
+            const HpsPrime &p = t.dst[j];
+            __m256i acc[U];
+            for (int u = 0; u < U; ++u) {
+                if constexpr (kConvert) // r <= kq
+                    acc[u] = _mm256_mul_epu32(r[u], set1(p.round_w));
+                else
+                    acc[u] = _mm256_add_epi64(
+                        r[u],
+                        _mm256_mul_epu32(load(in_rows[kq + j] + c + 4 * u),
+                                         set1(p.own_w)));
+            }
+            const __m256i q = set1(p.q);
+            for (size_t i0 = 0; i0 < kq; i0 += kHpsRunTerms) {
+                for (size_t i = i0; i < kq && i < i0 + kHpsRunTerms; ++i) {
+                    const __m256i w = set1(p.w[i]);
+                    for (int u = 0; u < U; ++u)
+                        acc[u] = _mm256_add_epi64(
+                            acc[u], _mm256_mul_epu32(y[u][i], w));
+                }
+                for (int u = 0; u < U; ++u)
+                    acc[u] = reduce64Lazy(acc[u], q, set1(p.phi1),
+                                          set1(p.c32), set1(p.phi_c32),
+                                          mask32);
+            }
+            for (int u = 0; u < U; ++u)
+                store(out_rows[j] + c + 4 * u, csub(acc[u], q));
+        }
     }
-    reduce128ModScalar(lo + j, hi + j, out + j, count - j, q);
+    return c;
+}
+
+template <bool kConvert>
+void
+hpsAvx2(const HpsTable &t, const uint64_t *const *in_rows,
+        uint64_t *const *out_rows, size_t count)
+{
+    size_t c = hpsAvx2Loop<kConvert, 2>(t, in_rows, out_rows, 0, count);
+    c = hpsAvx2Loop<kConvert, 1>(t, in_rows, out_rows, c, count);
+    hpsScalar<kConvert>(t, in_rows, out_rows, c, count);
 }
 
 } // namespace
@@ -554,11 +555,10 @@ const Kernels &
 avx2Kernels()
 {
     static const Kernels table = {
-        Level::kAvx2,    nttForwardAvx2, nttInverseAvx2,
-        addModAvx2,      subModAvx2,     negateModAvx2,
-        mulShoupAvx2,    mulShoupOutAvx2, mulModAvx2,
-        macModAvx2,      reduceU32Avx2,  sop128Avx2,
-        add128_64Avx2,   roundShift128Avx2, reduce128ModAvx2,
+        Level::kAvx2,  nttForwardAvx2, nttInverseAvx2,
+        addModAvx2,    subModAvx2,     negateModAvx2,
+        mulShoupAvx2,  mulModAvx2,     macModAvx2,
+        reduceU32Avx2, hpsAvx2<true>,  hpsAvx2<false>,
     };
     return table;
 }

@@ -340,11 +340,11 @@ negateModAvx512(uint64_t *a, size_t n, uint64_t q)
 }
 
 void
-mulShoupOutAvx512(uint64_t *dst, const uint64_t *src, size_t n,
-                  const rns::Modulus &q, uint64_t w, uint64_t w_shoup)
+mulShoupAvx512(uint64_t *a, size_t n, const rns::Modulus &q, uint64_t w,
+               uint64_t w_shoup)
 {
     if (!eligibleModulus(q.value())) {
-        mulShoupOutScalar(dst, src, n, q, w, w_shoup);
+        mulShoupScalar(a, n, q, w, w_shoup);
         return;
     }
     const __m512i vq = set1(q.value());
@@ -352,17 +352,23 @@ mulShoupOutAvx512(uint64_t *dst, const uint64_t *src, size_t n,
     const __m512i vphi = set1(w_shoup >> 32);
     size_t j = 0;
     for (; j + 8 <= n; j += 8) {
-        const __m512i r = mulShoupLazy32(load(src + j), vw, vphi, vq);
-        store(dst + j, csub(r, vq));
+        const __m512i r = mulShoupLazy32(load(a + j), vw, vphi, vq);
+        store(a + j, csub(r, vq));
     }
-    mulShoupOutScalar(dst + j, src + j, n - j, q, w, w_shoup);
+    mulShoupScalar(a + j, n - j, q, w, w_shoup);
 }
 
-void
-mulShoupAvx512(uint64_t *a, size_t n, const rns::Modulus &q, uint64_t w,
-               uint64_t w_shoup)
+/** x mod q into [0, 2q) for any 64-bit x, q < 2^30. */
+inline __m512i
+reduce64Lazy(__m512i x, __m512i vq, __m512i vphi1, __m512i vc32,
+             __m512i vphi_c32, __m512i mask32)
 {
-    mulShoupOutAvx512(a, a, n, q, w, w_shoup);
+    const __m512i d = _mm512_srli_epi64(x, 32);
+    const __m512i l = _mm512_and_epi64(x, mask32);
+    const __m512i t1 = mulShoupLazy32(d, vc32, vphi_c32, vq);
+    const __m512i t3 = reduceLazyBy1(l, vphi1, vq);
+    const __m512i s = _mm512_add_epi64(t1, t3); // < 4q < 2^32
+    return reduceLazyBy1(s, vphi1, vq);
 }
 
 /** a[i]*b[i] mod q into [0, 2q); a, b < q < 2^30. */
@@ -370,13 +376,8 @@ inline __m512i
 mulModLazy(__m512i va, __m512i vb, __m512i vq, __m512i vphi1,
            __m512i vc32, __m512i vphi_c32, __m512i mask32)
 {
-    const __m512i x = _mm512_mul_epu32(va, vb); // exact, < 2^60
-    const __m512i d = _mm512_srli_epi64(x, 32);
-    const __m512i l = _mm512_and_epi64(x, mask32);
-    const __m512i t1 = mulShoupLazy32(d, vc32, vphi_c32, vq);
-    const __m512i t3 = reduceLazyBy1(l, vphi1, vq);
-    const __m512i s = _mm512_add_epi64(t1, t3); // < 4q < 2^32
-    return reduceLazyBy1(s, vphi1, vq);
+    return reduce64Lazy(_mm512_mul_epu32(va, vb), vq, vphi1, vc32,
+                        vphi_c32, mask32);
 }
 
 void
@@ -447,102 +448,116 @@ reduceU32Avx512(uint64_t *dst, const uint64_t *src, size_t n,
     reduceU32Scalar(dst + j, src + j, n - j, q);
 }
 
-void
-sop128Avx512(const uint64_t *const *rows, const uint64_t *weights,
-             size_t terms, size_t count, uint64_t *lo, uint64_t *hi)
+/** (hi, lo) += x, as 128-bit lanes. */
+inline void
+add128(__m512i &lo, __m512i &hi, __m512i x)
 {
-    const __m512i one = set1(1);
-    size_t j = 0;
-    for (; j + 8 <= count; j += 8) {
-        __m512i acc_lo = _mm512_setzero_si512();
-        __m512i acc_mid = _mm512_setzero_si512();
-        __m512i acc_hi = _mm512_setzero_si512();
-        for (size_t i = 0; i < terms; ++i) {
-            const __m512i v = load(rows[i] + j);
-            const __m512i wlo = set1(weights[i] & 0xffffffffu);
-            const __m512i whi = set1(weights[i] >> 32);
-            const __m512i plo = _mm512_mul_epu32(v, wlo);
-            const __m512i s = _mm512_add_epi64(acc_lo, plo);
-            const __mmask8 carry = _mm512_cmplt_epu64_mask(s, plo);
-            acc_hi = _mm512_mask_add_epi64(acc_hi, carry, acc_hi, one);
-            acc_lo = s;
-            acc_mid =
-                _mm512_add_epi64(acc_mid, _mm512_mul_epu32(v, whi));
-        }
-        const __m512i mid_lo = _mm512_slli_epi64(acc_mid, 32);
-        const __m512i s = _mm512_add_epi64(acc_lo, mid_lo);
-        const __mmask8 carry = _mm512_cmplt_epu64_mask(s, mid_lo);
-        acc_hi = _mm512_mask_add_epi64(acc_hi, carry, acc_hi, one);
-        store(lo + j, s);
-        store(hi + j,
-              _mm512_add_epi64(acc_hi, _mm512_srli_epi64(acc_mid, 32)));
-    }
-    if (j < count) {
-        const uint64_t *tail_rows[kSopMaxTerms];
-        for (size_t i = 0; i < terms; ++i)
-            tail_rows[i] = rows[i] + j;
-        sop128Scalar(tail_rows, weights, terms, count - j, lo + j,
-                     hi + j);
-    }
+    lo = _mm512_add_epi64(lo, x);
+    const __mmask8 carry = _mm512_cmplt_epu64_mask(lo, x);
+    hi = _mm512_mask_add_epi64(hi, carry, hi, set1(1));
 }
 
-void
-add128_64Avx512(uint64_t *lo, uint64_t *hi, const uint64_t *add,
-                size_t count)
+/**
+ * The fused HPS kernels (see simd.h). Per 8 coefficients: load the
+ * source residues once (kConvert: into lambdas), run Block 1 as a
+ * 128-bit sum of 30x32-bit partial products (mid collects the products
+ * with the weights' high halves, below 2^58 each), round it, then write
+ * every destination prime from its Block-2 sum, reduced after every
+ * 64-bit run of kHpsRunTerms products. This loop runs U such vector
+ * groups per iteration, from coefficient @p c while a whole iteration
+ * fits, and returns where it stopped: the groups are independent, so
+ * each hides the others' multiply latency.
+ */
+template <bool kConvert, int U>
+size_t
+hpsAvx512Loop(const HpsTable &t, const uint64_t *const *in_rows,
+              uint64_t *const *out_rows, size_t c, size_t count)
 {
-    const __m512i one = set1(1);
-    size_t j = 0;
-    for (; j + 8 <= count; j += 8) {
-        const __m512i va = load(add + j);
-        const __m512i s = _mm512_add_epi64(load(lo + j), va);
-        const __mmask8 carry = _mm512_cmplt_epu64_mask(s, va);
-        store(lo + j, s);
-        const __m512i h = load(hi + j);
-        store(hi + j, _mm512_mask_add_epi64(h, carry, h, one));
-    }
-    add128_64Scalar(lo + j, hi + j, add + j, count - j);
-}
-
-void
-roundShift128Avx512(const uint64_t *lo, const uint64_t *hi, size_t count,
-                    int shift, uint64_t *out)
-{
-    // Same call as AVX2: memory-bound, the scalar body keeps up.
-    roundShift128Scalar(lo, hi, count, shift, out);
-}
-
-void
-reduce128ModAvx512(const uint64_t *lo, const uint64_t *hi, uint64_t *out,
-                   size_t count, const rns::Modulus &q)
-{
-    if (!eligibleModulus(q.value())) {
-        reduce128ModScalar(lo, hi, out, count, q);
-        return;
-    }
-    const Mod32Constants mc = mod32Constants(q);
-    const __m512i vq = set1(mc.q);
-    const __m512i v2q = set1(2 * mc.q);
-    const __m512i vphi1 = set1(mc.phi1);
-    const __m512i vc32 = set1(mc.c32);
-    const __m512i vphi_c32 = set1(mc.phi_c32);
-    const __m512i vc64 = set1(mc.c64);
-    const __m512i vphi_c64 = set1(mc.phi_c64);
+    const size_t kq = t.terms;
+    const int s = t.frac_bits;
     const __m512i mask32 = set1(0xffffffffu);
-    size_t j = 0;
-    for (; j + 8 <= count; j += 8) {
-        const __m512i vhi = load(hi + j); // < 2^32 by contract
-        const __m512i vlo = load(lo + j);
-        const __m512i t = mulShoupLazy32(vhi, vc64, vphi_c64, vq);
-        const __m512i t2 = mulShoupLazy32(_mm512_srli_epi64(vlo, 32),
-                                          vc32, vphi_c32, vq);
-        const __m512i t3 =
-            reduceLazyBy1(_mm512_and_epi64(vlo, mask32), vphi1, vq);
-        __m512i s = csub(_mm512_add_epi64(t, t2), v2q);
-        s = _mm512_add_epi64(s, t3); // < 4q < 2^32
-        const __m512i r = reduceLazyBy1(s, vphi1, vq);
-        store(out + j, csub(r, vq));
+    // Rounding: add 2^(s-1), then (hi:lo) >> s. A shift count outside
+    // [0, 63] clears the lane, so one expression covers every s.
+    const __m512i half_lo = set1(s <= 64 ? uint64_t(1) << (s - 1) : 0);
+    const __m512i half_hi = set1(s > 64 ? uint64_t(1) << (s - 65) : 0);
+    const __m128i sh_lo = _mm_cvtsi64_si128(s);
+    const __m128i sh_hi_up = _mm_cvtsi64_si128(64 - s);
+    const __m128i sh_hi_down = _mm_cvtsi64_si128(s - 64);
+    for (; c + 8 * U <= count; c += 8 * U) {
+        __m512i y[U][kHpsMaxTerms];
+        __m512i lo[U], hi[U], mid[U], r[U];
+        for (int u = 0; u < U; ++u) {
+            lo[u] = half_lo;
+            hi[u] = half_hi;
+            mid[u] = _mm512_setzero_si512();
+        }
+        for (size_t i = 0; i < kq; ++i) {
+            const __m512i f = set1(t.frac[i]);
+            const __m512i f_hi = _mm512_srli_epi64(f, 32);
+            for (int u = 0; u < U; ++u) {
+                __m512i x = load(in_rows[i] + c + 8 * u);
+                if constexpr (kConvert) {
+                    const __m512i q = set1(t.src_q[i]);
+                    x = csub(mulShoupLazy32(x, set1(t.qtilde[i]),
+                                            set1(t.qtilde_phi[i]), q),
+                             q);
+                }
+                y[u][i] = x;
+                add128(lo[u], hi[u], _mm512_mul_epu32(x, f));
+                mid[u] =
+                    _mm512_add_epi64(mid[u], _mm512_mul_epu32(x, f_hi));
+            }
+        }
+        for (int u = 0; u < U; ++u) {
+            add128(lo[u], hi[u], _mm512_slli_epi64(mid[u], 32));
+            hi[u] = _mm512_add_epi64(hi[u], _mm512_srli_epi64(mid[u], 32));
+            const __m512i from_lo = _mm512_srl_epi64(lo[u], sh_lo);
+            const __m512i from_hi =
+                _mm512_or_si512(_mm512_sll_epi64(hi[u], sh_hi_up),
+                                _mm512_srl_epi64(hi[u], sh_hi_down));
+            r[u] = _mm512_or_si512(from_lo, from_hi);
+        }
+
+        for (size_t j = 0; j < t.dst.size(); ++j) {
+            const HpsPrime &p = t.dst[j];
+            __m512i acc[U];
+            for (int u = 0; u < U; ++u) {
+                if constexpr (kConvert) // r <= kq
+                    acc[u] = _mm512_mul_epu32(r[u], set1(p.round_w));
+                else
+                    acc[u] = _mm512_add_epi64(
+                        r[u],
+                        _mm512_mul_epu32(load(in_rows[kq + j] + c + 8 * u),
+                                         set1(p.own_w)));
+            }
+            const __m512i q = set1(p.q);
+            for (size_t i0 = 0; i0 < kq; i0 += kHpsRunTerms) {
+                for (size_t i = i0; i < kq && i < i0 + kHpsRunTerms; ++i) {
+                    const __m512i w = set1(p.w[i]);
+                    for (int u = 0; u < U; ++u)
+                        acc[u] = _mm512_add_epi64(
+                            acc[u], _mm512_mul_epu32(y[u][i], w));
+                }
+                for (int u = 0; u < U; ++u)
+                    acc[u] = reduce64Lazy(acc[u], q, set1(p.phi1),
+                                          set1(p.c32), set1(p.phi_c32),
+                                          mask32);
+            }
+            for (int u = 0; u < U; ++u)
+                store(out_rows[j] + c + 8 * u, csub(acc[u], q));
+        }
     }
-    reduce128ModScalar(lo + j, hi + j, out + j, count - j, q);
+    return c;
+}
+
+template <bool kConvert>
+void
+hpsAvx512(const HpsTable &t, const uint64_t *const *in_rows,
+          uint64_t *const *out_rows, size_t count)
+{
+    size_t c = hpsAvx512Loop<kConvert, 4>(t, in_rows, out_rows, 0, count);
+    c = hpsAvx512Loop<kConvert, 1>(t, in_rows, out_rows, c, count);
+    hpsScalar<kConvert>(t, in_rows, out_rows, c, count);
 }
 
 } // namespace
@@ -551,11 +566,10 @@ const Kernels &
 avx512Kernels()
 {
     static const Kernels table = {
-        Level::kAvx512,  nttForwardAvx512, nttInverseAvx512,
-        addModAvx512,    subModAvx512,     negateModAvx512,
-        mulShoupAvx512,  mulShoupOutAvx512, mulModAvx512,
-        macModAvx512,    reduceU32Avx512,  sop128Avx512,
-        add128_64Avx512, roundShift128Avx512, reduce128ModAvx512,
+        Level::kAvx512,  nttForwardAvx512,  nttInverseAvx512,
+        addModAvx512,    subModAvx512,      negateModAvx512,
+        mulShoupAvx512,  mulModAvx512,      macModAvx512,
+        reduceU32Avx512, hpsAvx512<true>,   hpsAvx512<false>,
     };
     return table;
 }

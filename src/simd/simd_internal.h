@@ -25,26 +25,32 @@ void subModScalar(uint64_t *a, const uint64_t *b, size_t n, uint64_t q);
 void negateModScalar(uint64_t *a, size_t n, uint64_t q);
 void mulShoupScalar(uint64_t *a, size_t n, const rns::Modulus &q,
                     uint64_t w, uint64_t w_shoup);
-void mulShoupOutScalar(uint64_t *dst, const uint64_t *src, size_t n,
-                       const rns::Modulus &q, uint64_t w, uint64_t w_shoup);
 void mulModScalar(uint64_t *a, const uint64_t *b, size_t n,
                   const rns::Modulus &q);
 void macModScalar(uint64_t *acc, const uint64_t *a, const uint64_t *b,
                   size_t n, const rns::Modulus &q);
 void reduceU32Scalar(uint64_t *dst, const uint64_t *src, size_t n,
                      const rns::Modulus &q);
-void sop128Scalar(const uint64_t *const *rows, const uint64_t *weights,
-                  size_t terms, size_t count, uint64_t *lo, uint64_t *hi);
-void add128_64Scalar(uint64_t *lo, uint64_t *hi, const uint64_t *add,
-                     size_t count);
-void roundShift128Scalar(const uint64_t *lo, const uint64_t *hi,
-                         size_t count, int shift, uint64_t *out);
-void reduce128ModScalar(const uint64_t *lo, const uint64_t *hi,
-                        uint64_t *out, size_t count, const rns::Modulus &q);
+/**
+ * The HPS datapath one coefficient at a time, over coefficients
+ * [begin, end) of the rows: the scalar table's hps_convert (kConvert)
+ * and hps_scale, and the vector kernels' tails. Defined and
+ * instantiated in simd.cc only, so no copy is built with vector ISA
+ * flags.
+ */
+template <bool kConvert>
+void hpsScalar(const HpsTable &t, const uint64_t *const *in_rows,
+               uint64_t *const *out_rows, size_t begin, size_t end);
+extern template void hpsScalar<true>(const HpsTable &,
+                                     const uint64_t *const *,
+                                     uint64_t *const *, size_t, size_t);
+extern template void hpsScalar<false>(const HpsTable &,
+                                      const uint64_t *const *,
+                                      uint64_t *const *, size_t, size_t);
 
 /**
  * Per-modulus constants for the 32-bit Shoup reduction chains shared
- * by the vector mul_mod / reduce_u32 / reduce128_mod kernels. Cheap to
+ * by the vector mul_mod / mac_mod / reduce_u32 kernels. Cheap to
  * build (two divisions), computed once per kernel call and amortized
  * over the n-element loop. Only meaningful for q < kLaneModulusBound.
  */
@@ -54,8 +60,6 @@ struct Mod32Constants
     uint64_t phi1 = 0;      ///< floor(2^32 / q): Shoup constant for w = 1
     uint64_t c32 = 0;       ///< 2^32 mod q
     uint64_t phi_c32 = 0;   ///< floor(c32 * 2^32 / q)
-    uint64_t c64 = 0;       ///< 2^64 mod q
-    uint64_t phi_c64 = 0;   ///< floor(c64 * 2^32 / q)
 };
 
 Mod32Constants mod32Constants(const rns::Modulus &q);

@@ -11,9 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/random.h"
+#include "fv/arith.h"
+#include "fv/params.h"
 #include "ntt/ntt.h"
 #include "ntt/ntt_tables.h"
 #include "rns/base_convert.h"
@@ -133,96 +138,8 @@ TEST(SimdKernels, ElementwiseMatchScalarEverywhere)
                     k.mac_mod(p, b.data(), b.data(), n, q);
                 });
                 diff([&](const Kernels &k, uint64_t *p) {
-                    k.mul_shoup_out(p, b.data(), n, q, w, w_shoup);
-                });
-                diff([&](const Kernels &k, uint64_t *p) {
                     k.reduce_u32(p, src32.data(), n, q);
                 });
-            }
-        }
-    }
-}
-
-TEST(SimdKernels, WidePrecisionPrimitivesMatchScalar)
-{
-    Xoshiro256 rng(11);
-    const Kernels &scalar = simd::kernelsFor(Level::kScalar);
-    for (Level level : availableLevels()) {
-        const Kernels &vec = simd::kernelsFor(level);
-        for (size_t count : {size_t(13), size_t(256), size_t(1000)}) {
-            for (size_t terms : {size_t(1), size_t(5), simd::kSopMaxTerms}) {
-                // sop128 contract: values < 2^30, weights <= 2^60.
-                std::vector<std::vector<uint64_t>> data(terms);
-                std::vector<const uint64_t *> rows(terms);
-                std::vector<uint64_t> weights(terms);
-                for (size_t i = 0; i < terms; ++i) {
-                    data[i].resize(count);
-                    for (auto &x : data[i])
-                        x = rng.uniformBelow(uint64_t(1) << 30);
-                    rows[i] = data[i].data();
-                    weights[i] =
-                        rng.uniformBelow((uint64_t(1) << 60) + 1);
-                }
-                if (!data.empty() && count > 0) {
-                    data[0][0] = (uint64_t(1) << 30) - 1; // edge lane
-                    weights[0] = uint64_t(1) << 60;
-                }
-                std::vector<uint64_t> lo_s(count), hi_s(count);
-                std::vector<uint64_t> lo_v(count), hi_v(count);
-                scalar.sop128(rows.data(), weights.data(), terms, count,
-                              lo_s.data(), hi_s.data());
-                vec.sop128(rows.data(), weights.data(), terms, count,
-                           lo_v.data(), hi_v.data());
-                EXPECT_EQ(lo_s, lo_v) << simd::levelName(level);
-                EXPECT_EQ(hi_s, hi_v) << simd::levelName(level);
-
-                // add128_64 on the sop outputs.
-                std::vector<uint64_t> add(count);
-                for (auto &x : add)
-                    x = rng.next();
-                auto lo2 = lo_s, hi2 = hi_s;
-                scalar.add128_64(lo_s.data(), hi_s.data(), add.data(),
-                                 count);
-                vec.add128_64(lo2.data(), hi2.data(), add.data(), count);
-                EXPECT_EQ(lo_s, lo2);
-                EXPECT_EQ(hi_s, hi2);
-
-                // round_shift128 across representative shifts; keep hi
-                // small enough that the shifted result fits 64 bits.
-                for (int shift : {1, 59, 60, 61, 64, 89, 127}) {
-                    std::vector<uint64_t> lo(count), hi(count);
-                    std::vector<uint64_t> out_s(count), out_v(count);
-                    const int hi_bits = std::min(shift - 1, 32);
-                    for (size_t c = 0; c < count; ++c) {
-                        lo[c] = rng.next();
-                        hi[c] = hi_bits == 0
-                                    ? 0
-                                    : rng.uniformBelow(uint64_t(1)
-                                                       << hi_bits);
-                    }
-                    scalar.round_shift128(lo.data(), hi.data(), count,
-                                          shift, out_s.data());
-                    vec.round_shift128(lo.data(), hi.data(), count,
-                                       shift, out_v.data());
-                    EXPECT_EQ(out_s, out_v) << "shift=" << shift;
-                }
-
-                // reduce128_mod (hi < 2^32 contract) at narrow and wide
-                // moduli — wide must fall back to scalar internally.
-                for (uint64_t qv : kWidthModuli) {
-                    const Modulus q(qv);
-                    std::vector<uint64_t> lo(count), hi(count);
-                    std::vector<uint64_t> out_s(count), out_v(count);
-                    for (size_t c = 0; c < count; ++c) {
-                        lo[c] = rng.next();
-                        hi[c] = rng.uniformBelow(uint64_t(1) << 32);
-                    }
-                    scalar.reduce128_mod(lo.data(), hi.data(),
-                                         out_s.data(), count, q);
-                    vec.reduce128_mod(lo.data(), hi.data(), out_v.data(),
-                                      count, q);
-                    EXPECT_EQ(out_s, out_v) << "q=" << qv;
-                }
             }
         }
     }
@@ -382,104 +299,329 @@ TEST(SimdKernels, NttRoundTripThroughDispatch)
     }
 }
 
-TEST(SimdBatch, ScaleBatchMatchesPerCoefficientScale)
+/** HPS lane counts: below, at and past one vector, odd tails, the
+ * paper ring. */
+const size_t kHpsLengths[] = {1, 7, 8, 9, 15, 17, 513, 4096};
+
+using Rows = std::vector<std::vector<uint64_t>>;
+
+template <typename T>
+std::vector<T *>
+pointers(std::vector<std::vector<uint64_t>> &rows)
 {
-    Xoshiro256 rng(37);
-    const size_t degree = 4096;
-    auto primes = rns::generateNttPrimes(30, degree, 7);
-    const rns::RnsBase q_base(
-        std::vector<uint64_t>(primes.begin(), primes.begin() + 3));
-    const rns::RnsBase p_base(
-        std::vector<uint64_t>(primes.begin() + 3, primes.end()));
-    const rns::ScaleRounder rounder(q_base, p_base, 65537);
+    std::vector<T *> out;
+    for (auto &row : rows)
+        out.push_back(row.data());
+    return out;
+}
 
-    const size_t kq = q_base.size();
-    const size_t kp = p_base.size();
-    const size_t count = 777; // odd length exercises the lane tails
-    std::vector<std::vector<uint64_t>> in(kq + kp);
-    std::vector<const uint64_t *> in_rows(kq + kp);
-    for (size_t i = 0; i < kq + kp; ++i) {
-        in[i].resize(count);
-        const uint64_t qi = i < kq ? q_base.modulus(i).value()
-                                   : p_base.modulus(i - kq).value();
-        for (auto &x : in[i])
-            x = rng.uniformBelow(qi);
-        in_rows[i] = in[i].data();
+/**
+ * @p count lanes of residues of @p base: random, except that both ends
+ * carry the worst-case lanes: every residue q_i - 1, all zero, and the
+ * centered-lift boundary floor(q/2), floor(q/2) + 1. Boundary lanes
+ * are marked in @p boundary.
+ */
+Rows
+hpsInput(const rns::RnsBase &base, size_t count, Xoshiro256 &rng,
+         std::vector<bool> &boundary)
+{
+    Rows rows(base.size(), std::vector<uint64_t>(count));
+    for (size_t i = 0; i < base.size(); ++i)
+        for (auto &x : rows[i])
+            x = rng.uniformBelow(base.modulus(i).value());
+    const mp::BigInt half = base.product() / mp::BigInt(2);
+    std::vector<uint64_t> top(base.size());
+    for (size_t i = 0; i < base.size(); ++i)
+        top[i] = base.modulus(i).value() - 1;
+    const std::vector<std::vector<uint64_t>> special = {
+        top, std::vector<uint64_t>(base.size(), 0), base.decompose(half),
+        base.decompose(half + mp::BigInt(1))};
+    boundary.assign(count, false);
+    for (size_t k = 0; k < special.size(); ++k) {
+        for (size_t c : {k, count - 1 - k}) {
+            if (c >= count)
+                continue;
+            for (size_t i = 0; i < base.size(); ++i)
+                rows[i][c] = special[k][i];
+            boundary[c] = k >= 2;
+        }
     }
+    return rows;
+}
 
-    std::vector<uint64_t> expect_in(kq + kp), expect_out(kp);
-    std::vector<std::vector<uint64_t>> expect(kp,
-                                              std::vector<uint64_t>(count));
-    for (size_t c = 0; c < count; ++c) {
-        for (size_t i = 0; i < kq + kp; ++i)
-            expect_in[i] = in[i][c];
-        rounder.scale(expect_in, expect_out);
-        for (size_t j = 0; j < kp; ++j)
-            expect[j][c] = expect_out[j];
+/** checkHps's view of a base conversion (Lift, Scale's back-switch)... */
+struct ConvertEngine
+{
+    const rns::FastBaseConverter &e;
+    rns::RnsBase in() const { return e.fromBase(); }
+    const rns::RnsBase &out() const { return e.toBase(); }
+    void fast(std::span<const uint64_t> x, std::span<uint64_t> y) const
+    {
+        e.convert(x, y);
     }
+    void exact(std::span<const uint64_t> x, std::span<uint64_t> y) const
+    {
+        e.convertExact(x, y);
+    }
+    void batch(const uint64_t *const *x, uint64_t *const *y,
+               size_t count) const
+    {
+        e.convertBatch(x, y, count);
+    }
+    void kernel(const Kernels &k, const uint64_t *const *x,
+                uint64_t *const *y, size_t count) const
+    {
+        k.hps_convert(*e.hpsTable(), x, y, count);
+    }
+    /** Near q/2 the fast lift may pick x - q (or x + q) instead. */
+    std::vector<mp::BigInt> boundaryOffsets() const
+    {
+        const mp::BigInt &q = e.fromBase().product();
+        return {mp::BigInt(0), q, mp::BigInt(0) - q};
+    }
+    const simd::HpsTable *table() const { return e.hpsTable(); }
+};
 
-    LevelGuard guard;
-    for (Level level : availableLevels()) {
-        simd::setLevel(level);
-        std::vector<std::vector<uint64_t>> got(
-            kp, std::vector<uint64_t>(count));
-        std::vector<uint64_t *> out_rows(kp);
-        for (size_t j = 0; j < kp; ++j)
-            out_rows[j] = got[j].data();
-        rounder.scaleBatch(in_rows.data(), out_rows.data(), count);
-        for (size_t j = 0; j < kp; ++j)
-            EXPECT_EQ(expect[j], got[j])
-                << simd::levelName(level) << " j=" << j;
+/** ... or a scale-round (Scale 13->7, a mod-switch rounder). */
+struct ScaleEngine
+{
+    const rns::ScaleRounder &e;
+    rns::RnsBase
+    in() const
+    {
+        return rns::RnsBase::concat(e.qBase(), e.pBase());
+    }
+    const rns::RnsBase &out() const { return e.pBase(); }
+    void fast(std::span<const uint64_t> x, std::span<uint64_t> y) const
+    {
+        e.scale(x, y);
+    }
+    void exact(std::span<const uint64_t> x, std::span<uint64_t> y) const
+    {
+        e.scaleExact(x, y);
+    }
+    void batch(const uint64_t *const *x, uint64_t *const *y,
+               size_t count) const
+    {
+        e.scaleBatch(x, y, count);
+    }
+    void kernel(const Kernels &k, const uint64_t *const *x,
+                uint64_t *const *y, size_t count) const
+    {
+        k.hps_scale(*e.hpsTable(), x, y, count);
+    }
+    /** For odd t * p, t x / q sits just below a rounding tie there. */
+    std::vector<mp::BigInt> boundaryOffsets() const
+    {
+        return {mp::BigInt(0), mp::BigInt(1), mp::BigInt(-1)};
+    }
+    const simd::HpsTable *table() const { return e.hpsTable(); }
+};
+
+/** @return true iff got_j = want_j + d (mod out_j) for every j. */
+bool
+offsetBy(const std::vector<uint64_t> &got, const std::vector<uint64_t> &want,
+         const mp::BigInt &d, const rns::RnsBase &out)
+{
+    for (size_t j = 0; j < out.size(); ++j) {
+        const uint64_t m = out.modulus(j).value();
+        const uint64_t dm = d.mod(mp::BigInt::fromUint64(m)).toUint64();
+        if (got[j] != (want[j] + dm) % m)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * One HPS engine against both oracles: the per-coefficient fast path
+ * (bit-identical on every lane) and the exact BigInt path (identical
+ * off the centered-lift boundary, within boundaryOffsets() on it).
+ * Then the engine's kernel at every SIMD level, and its dispatched
+ * batch entry, must reproduce the fast path bit for bit. The batch
+ * entry runs whether or not the base takes the vector path.
+ */
+template <typename Engine>
+void
+checkHps(const Engine &engine, bool expect_vector, const std::string &what)
+{
+    ASSERT_EQ(engine.table() != nullptr, expect_vector) << what;
+    const rns::RnsBase in_base = engine.in();
+    const rns::RnsBase &out_base = engine.out();
+    for (size_t count : kHpsLengths) {
+        SCOPED_TRACE(what + " count=" + std::to_string(count));
+        Xoshiro256 rng(count * 131 + in_base.size());
+        std::vector<bool> boundary;
+        Rows in = hpsInput(in_base, count, rng, boundary);
+        const auto in_rows = pointers<const uint64_t>(in);
+
+        Rows expect(out_base.size(), std::vector<uint64_t>(count));
+        std::vector<uint64_t> x(in_base.size());
+        std::vector<uint64_t> fast(out_base.size()), exact(out_base.size());
+        for (size_t c = 0; c < count; ++c) {
+            for (size_t i = 0; i < in_base.size(); ++i)
+                x[i] = in[i][c];
+            engine.fast(x, fast);
+            engine.exact(x, exact);
+            for (size_t j = 0; j < out_base.size(); ++j)
+                expect[j][c] = fast[j];
+            if (!boundary[c]) {
+                EXPECT_EQ(fast, exact) << "lane " << c;
+                continue;
+            }
+            bool near = false;
+            for (const mp::BigInt &d : engine.boundaryOffsets())
+                near = near || offsetBy(fast, exact, d, out_base);
+            EXPECT_TRUE(near) << "boundary lane " << c;
+        }
+
+        LevelGuard guard;
+        for (Level level : availableLevels()) {
+            if (expect_vector) {
+                Rows got(out_base.size(), std::vector<uint64_t>(count));
+                engine.kernel(simd::kernelsFor(level), in_rows.data(),
+                              pointers<uint64_t>(got).data(), count);
+                EXPECT_EQ(expect, got) << "kernel " << simd::levelName(level);
+            }
+            simd::setLevel(level);
+            Rows got(out_base.size(), std::vector<uint64_t>(count));
+            engine.batch(in_rows.data(), pointers<uint64_t>(got).data(),
+                         count);
+            EXPECT_EQ(expect, got) << "batch " << simd::levelName(level);
+        }
     }
 }
 
-TEST(SimdBatch, ConvertBatchMatchesPerCoefficientConvert)
+/** Every Lift, Scale, back-conversion and mod-switch engine of @p params. */
+void
+checkParamsHps(const fv::FvParams &params, const std::string &name)
 {
-    Xoshiro256 rng(41);
-    const size_t degree = 4096;
-    auto primes = rns::generateNttPrimes(30, degree, 6);
-    const rns::RnsBase from(
-        std::vector<uint64_t>(primes.begin(), primes.begin() + 3));
-    const rns::RnsBase to(
-        std::vector<uint64_t>(primes.begin() + 3, primes.end()));
-    const rns::FastBaseConverter conv(from, to);
-
-    const size_t kq = from.size();
-    const size_t kb = to.size();
-    const size_t count = 513;
-    std::vector<std::vector<uint64_t>> in(kq);
-    std::vector<const uint64_t *> in_rows(kq);
-    for (size_t i = 0; i < kq; ++i) {
-        in[i].resize(count);
-        for (auto &x : in[i])
-            x = rng.uniformBelow(from.modulus(i).value());
-        in_rows[i] = in[i].data();
+    for (size_t level = 0; level <= params.maxLevel(); ++level) {
+        const std::string at = name + " level " + std::to_string(level);
+        checkHps(ConvertEngine{params.liftConverter(level)}, true,
+                 at + " lift");
+        checkHps(ScaleEngine{params.scaler(level)}, true, at + " scale");
+        checkHps(ConvertEngine{params.scaleBackConverter(level)}, true,
+                 at + " back");
+        if (level < params.maxLevel())
+            checkHps(ScaleEngine{params.modSwitchRounder(level)}, true,
+                     at + " mod-switch");
     }
+}
 
-    std::vector<uint64_t> expect_in(kq), expect_out(kb);
-    std::vector<std::vector<uint64_t>> expect(kb,
-                                              std::vector<uint64_t>(count));
-    for (size_t c = 0; c < count; ++c) {
-        for (size_t i = 0; i < kq; ++i)
-            expect_in[i] = in[i][c];
-        conv.convert(expect_in, expect_out);
-        for (size_t j = 0; j < kb; ++j)
-            expect[j][c] = expect_out[j];
+TEST(SimdHps, PaperBasesMatchOraclesAtEveryLevel)
+{
+    // Lift 6->7, Scale 13->7 and back 7->6 at level 0, their narrower
+    // siblings at levels 1-5, and each level's 1 + k term rounder.
+    checkParamsHps(*fv::FvParams::paper(), "paper");
+}
+
+TEST(SimdHps, PirRingMatchesOracles)
+{
+    fv::FvConfig cfg; // perfbench pir8's ring: n = 256, three q primes
+    cfg.degree = 256;
+    cfg.plain_modulus = 257;
+    cfg.sigma = 3.2;
+    cfg.q_prime_count = 3;
+    checkParamsHps(*fv::FvParams::create(cfg), "pir");
+}
+
+/**
+ * The term bounds: kHpsMaxTerms source primes (the widest 30-bit NTT
+ * primes, so every Block-2 product is near 2^60) stay on the vector
+ * path, one more takes the per-coefficient fallback, and so does a
+ * base with a prime past the lane bound. Bases of kHpsRunTerms,
+ * kHpsRunTerms + 1 and 2 * kHpsRunTerms + 1 terms fill one run, spill
+ * one product into a second run and start a third.
+ */
+TEST(SimdHps, HeadroomLimitSelectsThePath)
+{
+    const size_t max = simd::kHpsMaxTerms;
+    const size_t run = simd::kHpsRunTerms;
+    const auto primes = rns::generateNttPrimes(30, 4096, max + 4);
+    const auto base = [&](size_t first, size_t count) {
+        return rns::RnsBase(std::vector<uint64_t>(
+            primes.begin() + first, primes.begin() + first + count));
+    };
+    const rns::RnsBase out = base(max + 1, 3);
+
+    for (size_t terms : {run, run + 1, 2 * run + 1, max}) {
+        const std::string at = std::to_string(terms) + " terms";
+        checkHps(ConvertEngine{rns::FastBaseConverter(base(0, terms), out)},
+                 true, "convert " + at);
+        checkHps(ScaleEngine{rns::ScaleRounder(base(0, terms), out, 65537)},
+                 true, "scale " + at);
     }
+    const rns::FastBaseConverter past_limit(base(0, max + 1), out);
+    const rns::ScaleRounder scale_past(base(0, max + 1), out, 65537);
+    checkHps(ConvertEngine{past_limit}, false, "convert past the limit");
+    checkHps(ScaleEngine{scale_past}, false, "scale past the limit");
 
+    // A 31-bit prime in either base leaves the lanes.
+    const rns::RnsBase wide(rns::generateNttPrimes(31, 4096, 2));
+    const rns::FastBaseConverter to_wide(base(0, 3), wide);
+    const rns::ScaleRounder from_wide(wide, base(0, 3), 2);
+    checkHps(ConvertEngine{to_wide}, false, "convert to 31-bit primes");
+    checkHps(ScaleEngine{from_wide}, false, "scale from 31-bit primes");
+}
+
+/**
+ * scaleRows documents that q_rows may alias full_rows. Every SIMD
+ * level and thread split must give the out-of-place result in place,
+ * and that result must be the exact CRT path's on random inputs.
+ */
+void
+checkInPlaceScale(const fv::FvParams &params, const std::string &name)
+{
+    const size_t n = params.degree();
+    Xoshiro256 rng(53);
     LevelGuard guard;
-    for (Level level : availableLevels()) {
-        simd::setLevel(level);
-        std::vector<std::vector<uint64_t>> got(
-            kb, std::vector<uint64_t>(count));
-        std::vector<uint64_t *> out_rows(kb);
-        for (size_t j = 0; j < kb; ++j)
-            out_rows[j] = got[j].data();
-        conv.convertBatch(in_rows.data(), out_rows.data(), count);
-        for (size_t j = 0; j < kb; ++j)
-            EXPECT_EQ(expect[j], got[j])
-                << simd::levelName(level) << " j=" << j;
+    const unsigned saved_threads = threadCount();
+    for (size_t level = 0; level <= params.maxLevel(); ++level) {
+        SCOPED_TRACE(name + " level " + std::to_string(level));
+        const rns::RnsBase &full = *params.fullBase(level);
+        const size_t kq = params.qPrimeCount(level);
+        std::vector<uint64_t> rows(full.size() * n);
+        for (size_t i = 0; i < full.size(); ++i)
+            for (size_t c = 0; c < n; ++c)
+                rows[i * n + c] = rng.uniformBelow(full.modulus(i).value());
+        std::vector<uint64_t> expect(kq * n);
+        fv::scaleRows(params, level, fv::ArithPath::kExactCrt, rows.data(),
+                      expect.data());
+        for (Level simd_level : availableLevels()) {
+            simd::setLevel(simd_level);
+            for (unsigned threads : {1u, 3u}) {
+                setThreadCount(threads);
+                std::vector<uint64_t> out(kq * n);
+                fv::scaleRows(params, level, fv::ArithPath::kHps,
+                              rows.data(), out.data());
+                EXPECT_EQ(expect, out);
+                auto in_place = rows;
+                fv::scaleRows(params, level, fv::ArithPath::kHps,
+                              in_place.data(), in_place.data());
+                in_place.resize(kq * n);
+                EXPECT_EQ(expect, in_place)
+                    << simd::levelName(simd_level) << " threads "
+                    << threads;
+            }
+        }
     }
+    setThreadCount(saved_threads);
+}
+
+TEST(SimdHps, InPlaceScaleRowsMatchesOutOfPlace)
+{
+    checkInPlaceScale(*fv::FvParams::paper(), "paper");
+    // Past the term bound: level 0's Scale and every back-conversion
+    // take the per-coefficient fallback, and a p base of more than 16
+    // primes shortens scaleRows' stages.
+    fv::FvConfig cfg;
+    cfg.degree = 256;
+    cfg.plain_modulus = 65537;
+    cfg.sigma = 3.2;
+    cfg.q_prime_count = simd::kHpsMaxTerms + 1;
+    const auto wide = fv::FvParams::create(cfg);
+    ASSERT_GT(wide->pBase()->size(), simd::kHpsMaxTerms);
+    checkInPlaceScale(*wide, "wide");
 }
 
 } // namespace

@@ -27,29 +27,12 @@
 #include "fv/evaluator.h"
 #include "fv/keygen.h"
 #include "fv/params.h"
-#include "hw/coprocessor.h"
+#include "hw/lift_unit.h"
+#include "hw/ntt_engine.h"
 #include "hw/resource_model.h"
 
 using namespace heat;
 using namespace heat::hw;
-
-namespace {
-
-double
-multUs(const HwConfig &config)
-{
-    auto params = fv::FvParams::paper();
-    Coprocessor cp(params, config);
-    const Program p = bench::compiledMultProgram(params, config);
-    double us = 0;
-    for (const auto &i : p.instrs) {
-        us += config.cyclesToUs(cp.instructionCycles(i));
-        us += cp.instructionDmaUs(i);
-    }
-    return us;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -84,7 +67,8 @@ main(int argc, char **argv)
         auto p = fv::FvParams::paper();
         LiftUnit lift(p, config);
         ResourceModel rm(*p, config);
-        const double mult_us = multUs(config);
+        const double mult_us =
+            bench::compiledMultCost(p, config).totalUs(config);
         std::printf("%8zu %14.1f %14.2f %14.0f\n", cores,
                     config.cyclesToUs(lift.cycles()), mult_us / 1e3,
                     rm.coprocessor().dsp);

@@ -15,9 +15,7 @@
  * EXPERIMENTS.md discusses both ratios.
  */
 
-#include <chrono>
 #include <cstdio>
-#include <functional>
 
 #include "bench_util.h"
 #include "common/parallel.h"
@@ -29,24 +27,6 @@
 #include "hw/system.h"
 
 using namespace heat;
-using Clock = std::chrono::steady_clock;
-
-namespace {
-
-double
-measureUs(int iters, const std::function<void()> &fn)
-{
-    fn(); // warm up
-    auto start = Clock::now();
-    for (int i = 0; i < iters; ++i)
-        fn();
-    auto stop = Clock::now();
-    return std::chrono::duration<double, std::micro>(stop - start)
-               .count() /
-           iters;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -75,17 +55,29 @@ main(int argc, char **argv)
 
     const size_t n = params->degree();
     const size_t k = params->qBase()->size();
-    const double sw_mult_us = measureUs(
-        5, [&] { fv::Ciphertext c = evaluator.multiply(a, b, rlk); });
+    // Mult at 1 and at 4 threads (best on this host; more threads
+    // thrash), alternating round by round so host drift lands on both
+    // sides alike; each figure is its side's median round.
+    const auto multAt = [&](unsigned threads) {
+        return [&, threads] {
+            setThreadCount(threads);
+            fv::Ciphertext c = evaluator.multiply(a, b, rlk);
+        };
+    };
+    const bench::InterleavedTimes mult =
+        bench::timeInterleaved({multAt(1), multAt(4)}, 15, 1);
+    setThreadCount(1);
+    const double sw_mult_us = mult.median(0) * 1e6;
+    const double sw_mult_mt_us = mult.median(1) * 1e6;
     const double sw_add_us =
-        measureUs(50, [&] { fv::Ciphertext c = evaluator.add(a, b); });
+        bench::timeInterleaved(
+            {[&] { fv::Ciphertext c = evaluator.add(a, b); }}, 5, 50)
+            .median(0) *
+        1e6;
     json.record("sw_mult", sw_mult_us * 1e3, "ns", n, k);
     json.record("sw_add", sw_add_us * 1e3, "ns", n, k);
-    setThreadCount(4); // best on this host; more threads thrash
-    const double sw_mult_mt_us = measureUs(
-        5, [&] { fv::Ciphertext c = evaluator.multiply(a, b, rlk); });
-    // Recorded before the thread count resets so the record carries
-    // threads=4.
+    // Records carry the thread count current at record() time.
+    setThreadCount(4);
     json.record("sw_mult", sw_mult_mt_us * 1e3, "ns", n, k);
     setThreadCount(1);
 

@@ -11,7 +11,6 @@
 #include "bench_util.h"
 #include "fv/params.h"
 #include "hw/arm_host.h"
-#include "hw/coprocessor.h"
 
 using namespace heat;
 using namespace heat::hw;
@@ -22,22 +21,12 @@ main(int argc, char **argv)
     bench::JsonReporter json("table1", argc, argv);
     auto params = fv::FvParams::paper();
     HwConfig config = HwConfig::paper();
-    Coprocessor cp(params, config);
     ArmHostModel host(params, config);
 
-    // Price the compiled Mult program.
-    const Program mult = bench::compiledMultProgram(params, config);
-
-    double mult_us = 0.0;
-    for (const auto &i : mult.instrs) {
-        mult_us += config.cyclesToUs(cp.instructionCycles(i));
-        mult_us += cp.instructionDmaUs(i);
-    }
-
-    Instruction add_instr;
-    add_instr.op = Opcode::kCoeffAdd;
+    const double mult_us =
+        bench::compiledMultCost(params, config).totalUs(config);
     const double add_hw_us =
-        2.0 * config.cyclesToUs(cp.instructionCycles(add_instr));
+        2.0 * bench::instructionUs(params, config, Opcode::kCoeffAdd);
     const double add_sw_us = host.softwareAddUs();
     const double send_us = host.sendCiphertextsUs(2);
     const double recv_us = host.receiveCiphertextUs();

@@ -5,11 +5,9 @@
  */
 
 #include <cstdio>
-#include <map>
 
 #include "bench_util.h"
 #include "fv/params.h"
-#include "hw/coprocessor.h"
 
 using namespace heat;
 using namespace heat::hw;
@@ -20,13 +18,7 @@ main(int argc, char **argv)
     bench::JsonReporter json("table2", argc, argv);
     auto params = fv::FvParams::paper();
     HwConfig config = HwConfig::paper();
-    Coprocessor cp(params, config);
-
-    const Program mult = bench::compiledMultProgram(params, config);
-
-    std::map<Opcode, int> calls;
-    for (const auto &i : mult.instrs)
-        ++calls[i.op];
+    const ExecStats mult = bench::compiledMultCost(params, config);
 
     struct PaperRow
     {
@@ -46,10 +38,7 @@ main(int argc, char **argv)
 
     bench::printHeader("Table II: per-instruction time (us per call)");
     for (const auto &row : rows) {
-        Instruction instr;
-        instr.op = row.op;
-        const double us =
-            config.cyclesToUs(cp.instructionCycles(instr));
+        const double us = bench::instructionUs(params, config, row.op);
         bench::printRow(opcodeName(row.op), row.paper_us, us, "us");
         json.record(std::string("instr_") + opcodeName(row.op), us * 1e3,
                     "ns", params->degree(), params->qBase()->size());
@@ -58,9 +47,10 @@ main(int argc, char **argv)
     std::printf("\n%-32s %10s %10s\n", "instruction", "#calls/Mult",
                 "paper");
     for (const auto &row : rows) {
-        std::printf("%-32s %10d %10d%s\n", opcodeName(row.op),
-                    calls[row.op], row.paper_calls,
-                    calls[row.op] == row.paper_calls ? "" : "  (*)");
+        const auto calls = static_cast<int>(mult.per_op.at(row.op).calls);
+        std::printf("%-32s %10d %10d%s\n", opcodeName(row.op), calls,
+                    row.paper_calls,
+                    calls == row.paper_calls ? "" : "  (*)");
     }
     std::printf("  (*) CoeffAdd: our schedule needs 14 additions for the "
                 "tensor + SoP + final\n      accumulation; the paper "
@@ -72,9 +62,7 @@ main(int argc, char **argv)
                                    99137, 99274};
     int idx = 0;
     for (const auto &row : rows) {
-        Instruction instr;
-        instr.op = row.op;
-        const double us = config.cyclesToUs(cp.instructionCycles(instr));
+        const double us = bench::instructionUs(params, config, row.op);
         bench::printRow(opcodeName(row.op), paper_cycles[idx++],
                         static_cast<double>(config.usToArmCycles(us)),
                         "cy");

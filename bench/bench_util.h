@@ -2,9 +2,10 @@
  * @file
  * Shared helpers for the reproduction benchmarks: paper-vs-measured
  * table printing, the `--json <path>` structured reporter that feeds
- * the repo's performance trajectory (BENCH_*.json), the compiled
- * FV.Mult program the table benches price, and the interleaved timer
- * behind the wall-time ratios CI gates on.
+ * the repo's performance trajectory (BENCH_*.json), the prices of the
+ * compiled FV.Mult and of single instructions the table benches
+ * report, and the interleaved timer behind the wall-time ratios CI
+ * gates on.
  */
 
 #ifndef HEAT_BENCH_BENCH_UTIL_H
@@ -23,26 +24,45 @@
 
 #include "common/parallel.h"
 #include "compiler/compiler.h"
+#include "hw/cost.h"
 #include "obs/metrics.h"
 
 namespace heat::bench {
 
 /**
- * The FV.Mult (tensor + relinearization) program the serving layer
- * runs for a single Mult: the compiled one-node Mult circuit, which
- * fits the memory file and so compiles to one segment.
+ * The FV.Mult (tensor + relinearization) the serving layer runs for a
+ * single Mult — the compiled one-node Mult circuit, which fits the
+ * memory file and so compiles to one segment — priced per instruction:
+ * every instruction pays its Arm dispatch, the paper's Table I
+ * accounting. Its totalUs() is the modeled Mult latency,
+ * relinearization-key DMA included.
  */
-inline hw::Program
-compiledMultProgram(const std::shared_ptr<const fv::FvParams> &params,
-                    const hw::HwConfig &config)
+inline hw::ExecStats
+compiledMultCost(const std::shared_ptr<const fv::FvParams> &params,
+                 const hw::HwConfig &config)
 {
     compiler::CompilerOptions options;
     options.hw = config;
-    return compiler::compileCircuit(
-               params, compiler::singleOpCircuit(compiler::NodeKind::kMult),
-               options)
-        .segments.at(0)
-        .program;
+    const compiler::CompiledCircuit mult = compiler::compileCircuit(
+        params, compiler::singleOpCircuit(compiler::NodeKind::kMult),
+        options);
+    return hw::priceProgram(mult.segments.at(0).program,
+                            hw::DispatchMode::kPerInstruction, params,
+                            config);
+}
+
+/** Modeled microseconds of one @p op instruction dispatched on its own
+ *  (a Table II row). */
+inline double
+instructionUs(const std::shared_ptr<const fv::FvParams> &params,
+              const hw::HwConfig &config, hw::Opcode op)
+{
+    hw::Program program;
+    program.instrs.resize(1);
+    program.instrs[0].op = op;
+    return hw::priceProgram(program, hw::DispatchMode::kPerInstruction,
+                            params, config)
+        .totalUs(config);
 }
 
 /** Print a table header. */
@@ -84,6 +104,16 @@ struct InterleavedTimes
     best(size_t k) const
     {
         return *std::min_element(secs[k].begin(), secs[k].end());
+    }
+
+    /** @return body @p k's median round, in seconds per call. */
+    double
+    median(size_t k) const
+    {
+        std::vector<double> rounds = secs[k];
+        const auto mid = rounds.begin() + rounds.size() / 2;
+        std::nth_element(rounds.begin(), mid, rounds.end());
+        return *mid;
     }
 
     /**

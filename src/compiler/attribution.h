@@ -2,19 +2,22 @@
  * @file
  * Compile-time cycle attribution of a compiled circuit.
  *
- * attributeCompiledCircuit() walks a CompiledCircuit's instruction
- * stream and charges every instruction's modeled compute cycles to its
- * functional unit (hw::unitOf), its opcode, and — via
- * CompiledCircuit::instr_nodes — the circuit node that emitted it. The
- * cost model mirrors hw::Coprocessor::instructionComputeCycles exactly
- * (same block models, record levels reconstructed from the slot-action
- * log), so the per-unit totals sum to the cycles a fused execution of
- * the circuit reports, without running anything.
+ * attributeCompiledCircuit() prices every segment of a
+ * CompiledCircuit with hw::priceProgram — the function
+ * hw::Coprocessor::execute charges from — in the fused dispatch mode,
+ * reading record levels from the slot-action log instead of a live
+ * memory file. It buckets the cycles by functional unit (hw::unitOf)
+ * and opcode, and adds one thing a run does not: via
+ * CompiledCircuit::instr_nodes, each instruction's compute cycles are
+ * also charged to the circuit node that emitted it. The totals are the
+ * cycles and key DMA a fused execution of the circuit reports, without
+ * running anything.
  *
  * This is what lets the compiler annotate nodes with attributed cost
- * at compile time, and what `heat_cli trace` cross-checks against the
- * coprocessor's runtime unit_cycles (the 0-cycle-delta acceptance
- * gate).
+ * at compile time. `heat_cli trace` and the tests check the buckets
+ * against a run's unit_cycles (the 0-cycle-delta acceptance gate);
+ * with one price, what that check guards is the level reconstruction
+ * from the slot log.
  */
 
 #ifndef HEAT_COMPILER_ATTRIBUTION_H

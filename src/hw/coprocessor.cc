@@ -6,6 +6,7 @@
 #include "common/panic.h"
 #include "fv/arith.h"
 #include "fv/galois.h"
+#include "hw/cost.h"
 #include "hw/rpau.h"
 #include "ntt/ntt.h"
 #include "obs/trace.h"
@@ -19,10 +20,8 @@ Coprocessor::Coprocessor(std::shared_ptr<const fv::FvParams> params,
     : params_(params),
       config_(config),
       memory_(params, config),
-      engine_(config, params_->degree()),
       lift_unit_(params, config),
       scale_unit_(params, config),
-      dma_(config),
       rlk_(rlk),
       gkeys_(gkeys)
 {
@@ -58,127 +57,53 @@ Coprocessor::downloadPoly(PolyId id) const
     return memory_.exportPoly(id);
 }
 
-size_t
-Coprocessor::polyBytes(BaseTag tag) const
-{
-    return memory_.residueCount(tag) * params_->degree() *
-           sizeof(uint32_t);
-}
-
-Cycle
-Coprocessor::instructionComputeCycles(const Instruction &instr) const
-{
-    // Per-instruction NTT/coefficient costs are batch-width-independent
-    // (the residues run on parallel RPAUs), so levels only shrink the
-    // serial Lift/Scale input chains — see the unit cycle models.
-    switch (instr.op) {
-      case Opcode::kNtt:
-        return engine_.forwardCycles();
-      case Opcode::kIntt:
-        return engine_.inverseCycles();
-      case Opcode::kCoeffMul:
-      case Opcode::kCoeffAdd:
-      case Opcode::kCoeffSub:
-        return engine_.coeffOpCycles();
-      case Opcode::kRearrange:
-        return engine_.rearrangeCycles();
-      case Opcode::kAutomorph:
-        return engine_.automorphCycles();
-      case Opcode::kLift:
-        return lift_unit_.cycles(memory_.recordLevel(instr.dst));
-      case Opcode::kScale:
-        return scale_unit_.cycles(memory_.recordLevel(instr.src0));
-      case Opcode::kModSwitch:
-        return scale_unit_.modSwitchCycles(
-            memory_.recordLevel(instr.src0));
-      case Opcode::kKeyLoad:
-        return 0; // DMA-bound; tracked in microseconds separately
-    }
-    panic("unknown opcode");
-}
-
-Cycle
-Coprocessor::instructionCycles(const Instruction &instr) const
-{
-    return instructionComputeCycles(instr) +
-           static_cast<Cycle>(config_.dispatch_overhead);
-}
-
-double
-Coprocessor::instructionDmaUs(const Instruction &instr) const
-{
-    if (instr.op != Opcode::kKeyLoad)
-        return 0.0;
-    // One key pair: two q polynomials, each a single-descriptor burst.
-    // At deeper levels the buffers span fewer residues, so the burst
-    // shrinks with the live basis.
-    size_t bytes = polyBytes(BaseTag::kQ);
-    if (!instr.extra.empty()) {
-        const size_t live =
-            params_->qPrimeCount(memory_.recordLevel(instr.extra[0]));
-        bytes = live * params_->degree() * sizeof(uint32_t);
-    }
-    return 2.0 * dma_.transferUs(bytes);
-}
-
 ExecStats
 Coprocessor::execute(const Program &program, DispatchMode mode)
 {
-    const Cycle dispatch = static_cast<Cycle>(config_.dispatch_overhead);
-    const bool fused = mode == DispatchMode::kFusedProgram;
+    // Levels are fixed when a record is allocated, before the program
+    // runs, so the whole program is priced up front.
+    const LevelOf levelOf = [this](PolyId id) {
+        return memory_.recordLevel(id);
+    };
+    ExecStats stats =
+        priceProgram(program, mode, params_, config_, levelOf);
     // Modeled-time tracing: per-instruction spans on the thread-local
     // modeled clock (deterministic — pure functions of the program and
-    // the cycle model, independent of host timing or worker count).
+    // the cost model, independent of host timing or worker count).
     obs::Tracer *const tracer = obs::activeTracer();
+    if (tracer == nullptr) {
+        for (const Instruction &instr : program.instrs)
+            exec(instr);
+        return stats;
+    }
+    const Cycle dispatch = static_cast<Cycle>(config_.dispatch_overhead);
+    const bool fused = mode == DispatchMode::kFusedProgram;
     const double t0 = obs::modeledNowUs();
-    ExecStats stats;
-    auto &unit_cycles = stats.unit_cycles;
-    const auto arm = static_cast<size_t>(Unit::kArmUnit);
     for (const Instruction &instr : program.instrs) {
         exec(instr);
-        const Cycle compute = instructionComputeCycles(instr);
-        const Cycle cycles = fused ? compute : compute + dispatch;
-        const double dma_us = instructionDmaUs(instr);
-        OpStats &op = stats.per_op[instr.op];
-        ++op.calls;
-        op.fpga_cycles += cycles;
-        op.dma_us += dma_us;
-        stats.fpga_cycles += cycles;
-        stats.dma_us += dma_us;
-        unit_cycles[static_cast<size_t>(unitOf(instr.op))] += compute;
-        ++stats.instructions;
-        if (!fused) {
-            stats.dispatch_cycles += dispatch;
-            unit_cycles[arm] += dispatch;
-        }
-        if (tracer != nullptr) {
-            const double dur = config_.cyclesToUs(cycles) + dma_us;
-            obs::recordModeledSpan(
-                opcodeName(instr.op), "hw.instr", obs::modeledNowUs(),
-                dur,
-                {{"unit", unitName(unitOf(instr.op))},
-                 {"cycles", std::to_string(cycles)},
-                 {"dma_us", std::to_string(dma_us)}});
-            obs::advanceModeledUs(dur);
-            stats.traced_us += dur;
-        }
+        const InstrCost cost =
+            instructionCost(instr, params_, config_, levelOf);
+        const Cycle cycles = fused ? cost.cycles : cost.cycles + dispatch;
+        const double dur = config_.cyclesToUs(cycles) + cost.dma_us;
+        obs::recordModeledSpan(opcodeName(instr.op), "hw.instr",
+                               obs::modeledNowUs(), dur,
+                               {{"unit", unitName(unitOf(instr.op))},
+                                {"cycles", std::to_string(cycles)},
+                                {"dma_us", std::to_string(cost.dma_us)}});
+        obs::advanceModeledUs(dur);
+        stats.traced_us += dur;
     }
     if (fused && !program.instrs.empty()) {
         // The whole instruction stream was queued in one Arm dispatch.
-        stats.fpga_cycles += dispatch;
-        stats.dispatch_cycles += dispatch;
-        unit_cycles[arm] += dispatch;
-        if (tracer != nullptr) {
-            const double dur = config_.cyclesToUs(dispatch);
-            obs::recordModeledSpan("arm-dispatch", "hw",
-                                   obs::modeledNowUs(), dur,
-                                   {{"unit", unitName(Unit::kArmUnit)},
-                                    {"cycles", std::to_string(dispatch)}});
-            obs::advanceModeledUs(dur);
-            stats.traced_us += dur;
-        }
+        const double dur = config_.cyclesToUs(dispatch);
+        obs::recordModeledSpan("arm-dispatch", "hw", obs::modeledNowUs(),
+                               dur,
+                               {{"unit", unitName(Unit::kArmUnit)},
+                                {"cycles", std::to_string(dispatch)}});
+        obs::advanceModeledUs(dur);
+        stats.traced_us += dur;
     }
-    if (tracer != nullptr && !program.instrs.empty()) {
+    if (!program.instrs.empty()) {
         // Duration is the exact sum of the child durations, NOT
         // end-minus-start: the difference picks up clock-base-dependent
         // rounding, which would break trace determinism across workers.

@@ -7,11 +7,11 @@
  * memory-file contents through the code the software evaluator runs —
  * the fv/arith.h Lift/Scale/ModSwitch/WordDecomp row drivers and the
  * heat::simd NTT and dyadic kernels — so results are bit-exact against
- * fv::Evaluator. Each instruction is charged a cycle cost from the
- * block models (NttEngine for NTT, rearrange, automorphism and the
- * coefficient-wise lanes; LiftUnit; ScaleUnit) plus the Arm dispatch
- * overhead. DMA time (relinearization keys) is tracked separately in
- * microseconds of the 250 MHz domain.
+ * fv::Evaluator. A run is charged the price hw/cost.h puts on its
+ * program (block-model cycles plus the Arm dispatch overhead, and the
+ * key DMA in microseconds of the 250 MHz domain), with record levels
+ * read from the memory file; execute() adds only the per-instruction
+ * modeled-time trace spans.
  */
 
 #ifndef HEAT_HW_COPROCESSOR_H
@@ -23,11 +23,9 @@
 #include "fv/keys.h"
 #include "fv/params.h"
 #include "hw/config.h"
-#include "hw/dma.h"
 #include "hw/isa.h"
 #include "hw/lift_unit.h"
 #include "hw/memory_file.h"
-#include "hw/ntt_engine.h"
 #include "hw/scale_unit.h"
 
 namespace heat::hw {
@@ -90,27 +88,15 @@ class Coprocessor
     ntt::RnsPoly downloadPoly(PolyId id) const;
 
     /**
-     * Execute a program; returns its statistics. In kPerInstruction
-     * mode every instruction carries the Arm dispatch overhead (the
-     * paper's measured Table II costs); in kFusedProgram mode the whole
-     * instruction stream is queued with a single dispatch — the circuit
-     * compiler's fused execution model.
+     * Execute a program; returns its statistics, which are
+     * hw::priceProgram's for the memory file's record levels. In
+     * kPerInstruction mode every instruction carries the Arm dispatch
+     * overhead (the paper's measured Table II costs); in kFusedProgram
+     * mode the whole instruction stream is queued with a single
+     * dispatch — the circuit compiler's fused execution model.
      */
     ExecStats execute(const Program &program,
                       DispatchMode mode = DispatchMode::kPerInstruction);
-
-    /** Cycle cost of one instruction (dispatch overhead included). */
-    Cycle instructionCycles(const Instruction &instr) const;
-
-    /** Pure block-model cycle cost (no dispatch overhead). */
-    Cycle instructionComputeCycles(const Instruction &instr) const;
-
-    /** DMA microseconds charged by an instruction (kKeyLoad only). */
-    double instructionDmaUs(const Instruction &instr) const;
-
-    /** Serialized size of one polynomial over base @p tag in bytes
-     *  (30-bit residues in 32-bit words). */
-    size_t polyBytes(BaseTag tag) const;
 
   private:
     void exec(const Instruction &instr);
@@ -123,10 +109,8 @@ class Coprocessor
     std::shared_ptr<const fv::FvParams> params_;
     HwConfig config_;
     MemoryFile memory_;
-    NttEngine engine_;
     LiftUnit lift_unit_;
     ScaleUnit scale_unit_;
-    DmaModel dma_;
     const fv::RelinKeys *rlk_;
     const fv::GaloisKeys *gkeys_;
 };

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/panic.h"
-#include "hw/coprocessor.h"
+#include "hw/cost.h"
 #include "hw/program_builder.h"
 
 namespace heat::hw {
@@ -12,11 +12,8 @@ MultJobProfile
 profileMultJob(const std::shared_ptr<const fv::FvParams> &params,
                const HwConfig &config, DispatchMode dispatch)
 {
-    const bool fused = dispatch == DispatchMode::kFusedProgram;
-    MultJobProfile profile;
-    // Emit the Mult (tensor + relinearization) at build time; the
-    // scratch coprocessor only prices instructions, whose level-0
-    // costs need no memory-file state.
+    // Emit the Mult (tensor + relinearization) at build time; its
+    // level-0 costs need no memory-file state.
     Program program;
     CountingAllocator alloc(*params, config);
     OpEmitter emitter(*params, alloc, program);
@@ -30,21 +27,13 @@ profileMultJob(const std::shared_ptr<const fv::FvParams> &params,
         emitter.emitMult(a, b, /*consume_a=*/true, /*consume_b=*/true,
                          /*want_digits=*/true, /*want_c2=*/false);
     emitter.emitRelin(tensor.ct[0], tensor.ct[1], tensor.digits);
-    Coprocessor scratch(params, config);
 
-    Cycle compute_cycles = 0;
-    for (const Instruction &instr : program.instrs) {
-        compute_cycles += fused
-                              ? scratch.instructionComputeCycles(instr)
-                              : scratch.instructionCycles(instr);
-        if (instr.op == Opcode::kKeyLoad) {
-            ++profile.key_segments;
-            profile.key_dma_us = scratch.instructionDmaUs(instr);
-        }
-    }
-    if (fused && !program.instrs.empty())
-        compute_cycles += static_cast<Cycle>(config.dispatch_overhead);
-    profile.compute_us = config.cyclesToUs(compute_cycles);
+    const ExecStats stats = priceProgram(program, dispatch, params, config);
+    const OpStats &keys = stats.per_op.at(Opcode::kKeyLoad);
+    MultJobProfile profile;
+    profile.compute_us = config.cyclesToUs(stats.fpga_cycles);
+    profile.key_segments = keys.calls;
+    profile.key_dma_us = keys.dma_us / static_cast<double>(keys.calls);
 
     ArmHostModel host(params, config);
     profile.send_us = host.sendCiphertextsUs(2);

@@ -49,9 +49,9 @@ struct MultJobProfile
 };
 
 /**
- * Price one FV.Mult job: build (without executing) the Mult program
- * against a scratch coprocessor and sum the per-instruction block-model
- * costs plus the host-side transfer times. Pure function of its inputs;
+ * Price one FV.Mult job: emit (without executing) the Mult program,
+ * price it with hw::priceProgram and add the host-side transfer times.
+ * Pure function of its inputs;
  * callers that construct many systems or service workers can compute
  * the profile once and share it.
  *
@@ -77,8 +77,8 @@ class HeatSystem
     HeatSystem(std::shared_ptr<const fv::FvParams> params,
                const HwConfig &config, size_t n_coprocessors = 2);
 
-    /** Same, with a precomputed per-Mult profile (skips the scratch
-     *  coprocessor build — cheap construction for serving layers). */
+    /** Same, with a precomputed per-Mult profile (skips emitting and
+     *  pricing the Mult — cheap construction for serving layers). */
     HeatSystem(std::shared_ptr<const fv::FvParams> params,
                const HwConfig &config, size_t n_coprocessors,
                const MultJobProfile &profile);

@@ -68,13 +68,21 @@ void
 FastBaseConverter::convert(std::span<const uint64_t> in,
                            std::span<uint64_t> out) const
 {
+    std::vector<uint64_t> lambda(from_.size());
+    convertWith(in, out, lambda);
+}
+
+void
+FastBaseConverter::convertWith(std::span<const uint64_t> in,
+                               std::span<uint64_t> out,
+                               std::span<uint64_t> lambda) const
+{
     panicIf(in.size() != from_.size(), "input size mismatch");
     panicIf(out.size() != to_.size(), "output size mismatch");
     // Block 1: lambda_i = [x_i * q~_i] mod q_i. Blocks 3/4: the rounded
     // quotient v' = round(sum lambda_i / q_i) with 60-significant-bit
     // fixed-point reciprocals; lambda_i * recip_i < 2^122, so a sum of
     // up to 64 terms fits 128 bits.
-    std::vector<uint64_t> lambda(from_.size());
     uint128_t frac = uint128_t(1) << (frac_bits_ - 1);
     for (size_t i = 0; i < from_.size(); ++i) {
         lambda[i] = from_.modulus(i).mul(in[i], from_.crtInverse(i));
@@ -109,10 +117,11 @@ FastBaseConverter::convertBatch(const uint64_t *const *in_rows,
     const size_t kb = to_.size();
     std::vector<uint64_t> in(kq);
     std::vector<uint64_t> out(kb);
+    std::vector<uint64_t> lambda(kq);
     for (size_t c = 0; c < count; ++c) {
         for (size_t i = 0; i < kq; ++i)
             in[i] = in_rows[i][c];
-        convert(in, out);
+        convertWith(in, out, lambda);
         for (size_t j = 0; j < kb; ++j)
             out_rows[j][c] = out[j];
     }

@@ -98,6 +98,12 @@ class FastBaseConverter
     }
 
   private:
+    /** convert() with the caller's lambda_i scratch (from.size()
+     *  words), so a batch reuses one buffer across coefficients. */
+    void convertWith(std::span<const uint64_t> in,
+                     std::span<uint64_t> out,
+                     std::span<uint64_t> lambda) const;
+
     RnsBase from_;
     RnsBase to_;
     int frac_bits_ = 0;

@@ -22,6 +22,7 @@
 #include "fv/keygen.h"
 #include "hw/arm_host.h"
 #include "hw/coprocessor.h"
+#include "hw/cost.h"
 #include "hw/program_builder.h"
 #include "hw/system.h"
 
@@ -368,57 +369,48 @@ TEST(CoprocessorFunctional, ProgramReusableAcrossRuns)
     }
 }
 
+/** Modeled microseconds of one @p op instruction dispatched on its
+ *  own, at the paper configuration. */
+double
+paperInstructionUs(Opcode op)
+{
+    Program program;
+    program.instrs.resize(1);
+    program.instrs[0].op = op;
+    const HwConfig config = HwConfig::paper();
+    return priceProgram(program, DispatchMode::kPerInstruction,
+                        fv::FvParams::paper(), config)
+        .totalUs(config);
+}
+
 TEST(CoprocessorTiming, TableIIPerInstructionTimes)
 {
-    auto params = fv::FvParams::paper();
-    HwConfig config = HwConfig::paper();
-    Coprocessor cp(params, config);
-
-    auto us_of = [&](Opcode op) {
-        Instruction i;
-        i.op = op;
-        return config.cyclesToUs(cp.instructionCycles(i));
-    };
     // Table II: NTT 73.0, Inverse-NTT 85.0, CMul 13.1, CAdd 13.6,
     // Rearrange 20.8, Lift 82.6, Scale 82.7 (us). Model within ~15%.
-    EXPECT_NEAR(us_of(Opcode::kNtt), 73.0, 6.0);
-    EXPECT_NEAR(us_of(Opcode::kIntt), 85.0, 7.0);
-    EXPECT_NEAR(us_of(Opcode::kCoeffMul), 13.1, 2.0);
-    EXPECT_NEAR(us_of(Opcode::kCoeffAdd), 13.6, 2.0);
-    EXPECT_NEAR(us_of(Opcode::kRearrange), 20.8, 3.1);
-    EXPECT_NEAR(us_of(Opcode::kLift), 82.6, 8.0);
-    EXPECT_NEAR(us_of(Opcode::kScale), 82.7, 8.0);
+    EXPECT_NEAR(paperInstructionUs(Opcode::kNtt), 73.0, 6.0);
+    EXPECT_NEAR(paperInstructionUs(Opcode::kIntt), 85.0, 7.0);
+    EXPECT_NEAR(paperInstructionUs(Opcode::kCoeffMul), 13.1, 2.0);
+    EXPECT_NEAR(paperInstructionUs(Opcode::kCoeffAdd), 13.6, 2.0);
+    EXPECT_NEAR(paperInstructionUs(Opcode::kRearrange), 20.8, 3.1);
+    EXPECT_NEAR(paperInstructionUs(Opcode::kLift), 82.6, 8.0);
+    EXPECT_NEAR(paperInstructionUs(Opcode::kScale), 82.7, 8.0);
 }
 
 TEST(CoprocessorTiming, MultMatchesTableI)
 {
     // Table I: Mult in HW 5,349,567 Arm cycles = 4.458 ms.
-    auto params = fv::FvParams::paper();
-    HwConfig config = HwConfig::paper();
-    Coprocessor cp(params, config);
-    ntt::RnsPoly zero(params->qBase(), params->degree());
-    std::array<PolyId, 2> a{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    std::array<PolyId, 2> b{cp.uploadPoly(zero), cp.uploadPoly(zero)};
-    Program p = emitMult(cp, a, b);
-
-    double total_us = 0.0;
-    for (const auto &i : p.instrs) {
-        total_us += config.cyclesToUs(cp.instructionCycles(i));
-        total_us += cp.instructionDmaUs(i);
-    }
+    const compiler::CompiledCircuit mult = compiledPaperMult();
+    const double total_us =
+        priceProgram(mult.segments.at(0).program,
+                     DispatchMode::kPerInstruction, mult.params, mult.hw)
+            .totalUs(mult.hw);
     EXPECT_NEAR(total_us / 1000.0, 4.458, 0.45); // within 10%
 }
 
 TEST(CoprocessorTiming, AddMatchesTableI)
 {
     // Table I: Add in HW 31,339 Arm cycles = 26 us.
-    auto params = fv::FvParams::paper();
-    HwConfig config = HwConfig::paper();
-    Coprocessor cp(params, config);
-    Instruction add;
-    add.op = Opcode::kCoeffAdd;
-    const double us = 2.0 * config.cyclesToUs(cp.instructionCycles(add));
-    EXPECT_NEAR(us, 26.0, 3.0);
+    EXPECT_NEAR(2.0 * paperInstructionUs(Opcode::kCoeffAdd), 26.0, 3.0);
 }
 
 TEST(ArmHost, TableITransferAndSwAdd)

@@ -4,8 +4,9 @@
  * histogram quantile estimates, the tracer's balanced Chrome-trace
  * export and span cap, the OBS_SPAN on/off switch, compile-time cycle
  * attribution matching a real fused run EXACTLY (integer equality,
- * zero-cycle delta), and modeled-time trace determinism across serving
- * worker counts.
+ * zero-cycle delta, key DMA to 1e-9) for level-0, leveled and
+ * resident circuits, and modeled-time trace determinism across
+ * serving worker counts.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "fv/keygen.h"
 #include "fv/params.h"
 #include "hw/coprocessor.h"
+#include "hw/cost.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/service.h"
@@ -264,53 +266,132 @@ mixedCircuit(const Universe &u)
     return b.build();
 }
 
+/** Relinearizes after a modSwitch: the second Mult's Lift, Scale and
+ *  key loads run at level 1 (the key bursts truncated to the live q
+ *  primes), and the final ModSwitch drops from level 1. */
+Circuit
+leveledCircuit()
+{
+    CircuitBuilder b;
+    const ValueId x = b.input();
+    const ValueId y = b.input();
+    const ValueId v = b.modSwitch(b.mult(x, y));
+    b.output(b.modSwitch(b.mult(v, v)));
+    return b.build();
+}
+
+/** The 8-shard PIR select-and-sum: shard i times a selector plaintext,
+ *  summed, plus the query. The shards are the first 8 inputs. */
+Circuit
+pirCircuit(const Universe &u)
+{
+    CircuitBuilder b;
+    std::vector<ValueId> shards;
+    for (int k = 0; k < 8; ++k)
+        shards.push_back(b.input());
+    const ValueId query = b.input();
+    ValueId acc = compiler::kNoValue;
+    for (int k = 0; k < 8; ++k) {
+        const ValueId sel = b.multPlain(shards[k], u.randomPlain(700 + k));
+        acc = k == 0 ? sel : b.add(acc, sel);
+    }
+    b.output(b.add(acc, query));
+    return b.build();
+}
+
 TEST(ObsAttribution, CompileTimeAttributionMatchesFusedRunExactly)
 {
     Universe u(77);
     compiler::CompilerOptions options;
     options.hw = hw::HwConfig::paper();
-    const compiler::CompiledCircuit compiled =
-        compiler::compileCircuit(u.params, mixedCircuit(u), options);
+    // A fresh level-0 mix, a leveled chain and the resident PIR
+    // circuit: attribution reads levels from the slot log, the run
+    // from the memory file, and both must price the same.
+    compiler::CompilerOptions leveled = options;
+    leveled.noise_check = compiler::NoiseCheck::kOff;
+    compiler::CompilerOptions pir = options;
+    for (uint32_t k = 0; k < 8; ++k)
+        pir.resident_inputs.push_back(k);
+    const struct
+    {
+        const char *name;
+        Circuit circuit;
+        compiler::CompilerOptions options;
+    } cases[] = {
+        {"mixed", mixedCircuit(u), options},
+        {"leveled", leveledCircuit(), leveled},
+        {"pir8-resident", pirCircuit(u), pir},
+    };
 
-    const compiler::CircuitAttribution attr =
-        compiler::attributeCompiledCircuit(compiled);
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        const compiler::CompiledCircuit compiled =
+            compiler::compileCircuit(u.params, c.circuit, c.options);
+        const compiler::CircuitAttribution attr =
+            compiler::attributeCompiledCircuit(compiled);
 
-    hw::Coprocessor cp(u.params, options.hw, &u.rlk);
-    compiler::CircuitRunStats run;
-    std::vector<Ciphertext> inputs = {u.randomCipher(1), u.randomCipher(2)};
-    compiler::runCompiledCircuit(cp, compiled, inputs, &run);
+        hw::Coprocessor cp(u.params, options.hw, &u.rlk);
+        compiler::CircuitRunStats run;
+        std::vector<Ciphertext> inputs;
+        for (size_t k = 0; k < c.circuit.inputs.size(); ++k)
+            inputs.push_back(u.randomCipher(k + 1));
+        compiler::runCompiledCircuit(cp, compiled, inputs, &run);
 
-    // Zero-cycle delta: the static model IS the runtime model.
-    EXPECT_EQ(attr.total_cycles, run.fpga_cycles);
-    for (size_t i = 0; i < hw::kUnitCount; ++i)
-        EXPECT_EQ(attr.unit_cycles[i], run.unit_cycles[i])
-            << "unit " << hw::unitName(static_cast<hw::Unit>(i));
+        // Zero-cycle delta: the static model IS the runtime model.
+        EXPECT_EQ(attr.total_cycles, run.fpga_cycles);
+        for (size_t i = 0; i < hw::kUnitCount; ++i)
+            EXPECT_EQ(attr.unit_cycles[i], run.unit_cycles[i])
+                << "unit " << hw::unitName(static_cast<hw::Unit>(i));
+        EXPECT_NEAR(attr.key_dma_us, run.dma_us, 1e-9 * run.dma_us);
 
-    // Internal consistency: unit buckets, opcode buckets and node
-    // attribution each sum exactly to their totals.
-    hw::Cycle unit_sum = 0;
-    for (hw::Cycle c : attr.unit_cycles)
-        unit_sum += c;
-    EXPECT_EQ(unit_sum, attr.total_cycles);
-    hw::Cycle op_sum = 0;
-    for (const auto &[op, cycles] : attr.op_cycles)
-        op_sum += cycles;
-    EXPECT_EQ(op_sum, attr.compute_cycles);
-    hw::Cycle node_sum = 0;
-    for (hw::Cycle c : attr.node_cycles)
-        node_sum += c;
-    EXPECT_EQ(node_sum, attr.compute_cycles);
-    EXPECT_EQ(attr.compute_cycles + attr.dispatch_cycles,
-              attr.total_cycles);
+        // Internal consistency: unit buckets, opcode buckets and node
+        // attribution each sum exactly to their totals.
+        hw::Cycle unit_sum = 0;
+        for (hw::Cycle cy : attr.unit_cycles)
+            unit_sum += cy;
+        EXPECT_EQ(unit_sum, attr.total_cycles);
+        hw::Cycle op_sum = 0;
+        for (const auto &[op, cycles] : attr.op_cycles)
+            op_sum += cycles;
+        EXPECT_EQ(op_sum, attr.compute_cycles);
+        hw::Cycle node_sum = 0;
+        for (hw::Cycle cy : attr.node_cycles)
+            node_sum += cy;
+        EXPECT_EQ(node_sum, attr.compute_cycles);
+        EXPECT_EQ(attr.compute_cycles + attr.dispatch_cycles,
+                  attr.total_cycles);
 
-    // The run's own unit buckets also sum exactly.
-    hw::Cycle run_sum = 0;
-    for (hw::Cycle c : run.unit_cycles)
-        run_sum += c;
-    EXPECT_EQ(run_sum, run.fpga_cycles);
+        // The run's own unit buckets also sum exactly.
+        hw::Cycle run_sum = 0;
+        for (hw::Cycle cy : run.unit_cycles)
+            run_sum += cy;
+        EXPECT_EQ(run_sum, run.fpga_cycles);
 
-    // The compiler's node annotation agrees with the fresh attribution.
-    EXPECT_EQ(compiled.node_cycles, attr.node_cycles);
+        // The compiler's node annotation agrees with the fresh
+        // attribution.
+        EXPECT_EQ(compiled.node_cycles, attr.node_cycles);
+
+        // Pricing every record at level 0 instead must overcharge the
+        // leveled chain — its parity above rests on the slot-log
+        // levels — and only it.
+        hw::Cycle flat_cycles = 0;
+        double flat_dma_us = 0.0;
+        for (const compiler::Segment &seg : compiled.segments) {
+            const hw::ExecStats flat = hw::priceProgram(
+                seg.program, hw::DispatchMode::kFusedProgram,
+                compiled.params, compiled.hw);
+            flat_cycles += flat.fpga_cycles;
+            flat_dma_us += flat.dma_us;
+        }
+        if (std::string(c.name) == "leveled") {
+            EXPECT_GT(attr.op_cycles.at(hw::Opcode::kModSwitch), 0u);
+            EXPECT_GT(attr.key_dma_us, 0.0);
+            EXPECT_LT(attr.total_cycles, flat_cycles);
+            EXPECT_LT(attr.key_dma_us, flat_dma_us);
+        } else {
+            EXPECT_EQ(attr.total_cycles, flat_cycles);
+        }
+    }
 }
 
 /** (name, modeled duration) multiset of a tracer's modeled spans —

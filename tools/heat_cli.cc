@@ -345,11 +345,12 @@ cmdCircuit(const Args &args)
 
 /**
  * Observability demo and acceptance gate: run a workload through the
- * serving layer with the span tracer installed, cross-check the three
- * independent cycle accountings — compile-time attribution
- * (compiler::attributeCompiledCircuit), a reference fused run on a
- * standalone coprocessor, and the service's per-unit profile — for
- * EXACT agreement (integer equality, no tolerance), then write a
+ * serving layer with the span tracer installed. Every modeled cycle is
+ * one price (hw::priceProgram); check its three bucketings —
+ * compile-time attribution (compiler::attributeCompiledCircuit, levels
+ * from the slot log), a reference fused run on a standalone
+ * coprocessor, and the service's per-unit profile — for EXACT
+ * agreement (integer equality, no tolerance), then write a
  * Chrome trace_event JSON (Perfetto-loadable) plus an optional
  * Prometheus metrics dump. Any accounting mismatch exits 1.
  *
